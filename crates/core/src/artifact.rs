@@ -322,33 +322,18 @@ impl LayerDecoder {
     }
 
     /// `true` once every expected layer decoded and no trailing bytes
-    /// remain — the whole-payload validity check a batch decode
-    /// enforces before trusting the entry.
+    /// remain — the whole-payload validity check that makes a streamed
+    /// entry a `Hit` rather than a repairable `Miss`.
     pub(crate) fn fully_consumed(&self) -> bool {
         self.next == self.dims.len() && self.pos == self.payload.len()
     }
 }
 
-/// Inverse of [`encode_layers`]: the batch (all-layers-at-once) decode,
-/// used where nothing overlaps the load. `None` on any mismatch — the
-/// caller re-encodes from the workload.
-pub(crate) fn decode_layers(
-    payload: Vec<u8>,
-    wanted: &[(EncodingKey, SchedulerConfig)],
-    dims: &[pra_tensor::Dim3],
-) -> Option<Vec<SharedLayer>> {
-    let mut d = LayerDecoder::new(payload, wanted, dims)?;
-    let mut layers = Vec::with_capacity(dims.len());
-    for _ in dims {
-        layers.push(d.next_layer()?);
-    }
-    d.fully_consumed().then_some(layers)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pra_workloads::cache::ArtifactKind;
+    use pra_workloads::cache::{ArtifactKind, ArtifactStore};
+    use proptest::prelude::*;
 
     #[test]
     fn encoded_kind_matches_store_tag() {
@@ -373,5 +358,130 @@ mod tests {
         let mut fewer_layers = workload.clone();
         fewer_layers.layers.truncate(1);
         assert_ne!(base, encoded_key(&fewer_layers, 7, &wanted), "geometry separates");
+    }
+
+    /// Mangles `payload`: `op` 0 truncates at `at`, 1 appends `extra`,
+    /// anything else flips the byte at `at` by `flip`.
+    fn mangle(payload: &mut Vec<u8>, op: u8, at: usize, flip: u8, extra: &[u8]) {
+        let len = payload.len();
+        match op {
+            0 => payload.truncate(at % len),
+            1 => payload.extend_from_slice(extra),
+            _ => payload[at % len] ^= flip,
+        }
+    }
+
+    /// The fuzz fixture: the toy workload, the sweep's config trio, a
+    /// real memo-warm `encode_layers` payload for them, and the results
+    /// of the cold build that produced it.
+    struct Fixture {
+        workload: Arc<NetworkWorkload>,
+        configs: [crate::PraConfig; 3],
+        payload: Vec<u8>,
+        cold: Vec<pra_sim::RunResult>,
+    }
+
+    fn fixture() -> &'static Fixture {
+        static FIXTURE: std::sync::OnceLock<Fixture> = std::sync::OnceLock::new();
+        FIXTURE.get_or_init(|| {
+            use pra_workloads::Representation;
+            let workload = Arc::new(crate::shared::test_toy_workload());
+            let configs = [
+                crate::PraConfig::two_stage(2, Representation::Fixed16),
+                crate::PraConfig::single_stage(Representation::Fixed16),
+                crate::PraConfig::per_column(1, Representation::Fixed16),
+            ];
+            let dir =
+                std::env::temp_dir().join(format!("pra-artifact-fixture-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let store = ArtifactStore::new(&dir).tier(ArtifactKind::Encoded);
+            let build =
+                crate::SharedEncodedNetwork::start_pipelined(&configs, &workload, 1, &store);
+            let cold = configs
+                .iter()
+                .map(|c| crate::run_pipelined(c, &workload, &build, |_, _| {}))
+                .collect();
+            let _ = build.finish(&store);
+            let wanted = crate::shared::wanted_pairs(&configs);
+            let key = encoded_key(&workload, 1, &wanted);
+            let payload = store
+                .cache_for(ArtifactKind::Encoded)
+                .and_then(|c| c.load(ENCODED_KIND, ENCODER_VERSION, &key))
+                .expect("finish published the entry");
+            let _ = std::fs::remove_dir_all(&dir);
+            Fixture { workload, configs, payload, cold }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Truncated, extended and byte-flipped copies of a real payload
+        /// never panic the streaming decoder, and a mangled length is
+        /// never reported as a fully consumed entry.
+        #[test]
+        fn layer_decoder_never_panics_on_mangled_payloads(
+            op in 0u8..3,
+            at in any::<usize>(),
+            flip in 1u8..=255,
+            extra in prop::collection::vec(any::<u8>(), 1..64),
+        ) {
+            let fx = fixture();
+            let wanted = crate::shared::wanted_pairs(&fx.configs);
+            let dims: Vec<_> = fx.workload.layers.iter().map(|l| l.neurons.dim()).collect();
+            let mut payload = fx.payload.clone();
+            mangle(&mut payload, op, at, flip, &extra);
+            let resized = payload.len() != fx.payload.len();
+            if let Some(mut d) = LayerDecoder::new(payload, &wanted, &dims) {
+                for _ in 0..=dims.len() {
+                    let _ = d.next_layer();
+                }
+                prop_assert!(!(resized && d.fully_consumed()), "a resized payload is never whole");
+            }
+        }
+
+        /// A pipelined start over a mangled entry stored under the right
+        /// key simulates exactly like the cold build. Truncated and
+        /// extended payloads are stored through the cache container, so
+        /// they reach the decoder; a flipped byte is planted in the
+        /// entry file, where the container checksum must catch it (a
+        /// flip inside a checksum-valid entry is just a different
+        /// entry).
+        #[test]
+        fn pipelined_starts_over_mangled_entries_match_the_cold_build(
+            op in 0u8..3,
+            at in any::<usize>(),
+            flip in 1u8..=255,
+            extra in prop::collection::vec(any::<u8>(), 1..64),
+        ) {
+            let fx = fixture();
+            let dir = std::env::temp_dir()
+                .join(format!("pra-artifact-mangled-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let store = ArtifactStore::new(&dir).tier(ArtifactKind::Encoded);
+            let cache = store.cache_for(ArtifactKind::Encoded).expect("tier enabled");
+            let key = encoded_key(&fx.workload, 1, &crate::shared::wanted_pairs(&fx.configs));
+            if op < 2 {
+                let mut payload = fx.payload.clone();
+                mangle(&mut payload, op, at, flip, &extra);
+                cache.store(ENCODED_KIND, ENCODER_VERSION, &key, &payload).unwrap();
+            } else {
+                let path = cache.store(ENCODED_KIND, ENCODER_VERSION, &key, &fx.payload).unwrap();
+                let mut bytes = std::fs::read(&path).unwrap();
+                mangle(&mut bytes, op, at, flip, &extra);
+                std::fs::write(&path, &bytes).unwrap();
+            }
+            let build =
+                crate::SharedEncodedNetwork::start_pipelined(&fx.configs, &fx.workload, 1, &store);
+            let results: Vec<_> = fx
+                .configs
+                .iter()
+                .map(|c| crate::run_pipelined(c, &fx.workload, &build, |_, _| {}))
+                .collect();
+            prop_assert_eq!(build.encoded_outcome(), pra_workloads::cache::CacheOutcome::Miss);
+            let _ = build.finish(&store);
+            prop_assert_eq!(&results, &fx.cold);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

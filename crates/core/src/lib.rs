@@ -27,8 +27,9 @@
 //!   store, keyed over encoding inputs, shared across fidelities.
 //! * [`shared`] — build-once artifacts shared across design points:
 //!   one encoding per [`EncodingKey`], one schedule memo per
-//!   [`SchedulerConfig`], one traffic count per layer (the sweep's
-//!   cross-config reuse).
+//!   [`SchedulerConfig`], one traffic count per layer, all built by
+//!   one pipelined builder (the sweep's and the server's cross-config
+//!   reuse).
 //! * [`sim`] — layer- and network-level simulation producing
 //!   [`pra_sim::RunResult`]s comparable with the baseline engines.
 //! * [`functional`] — bit-exact computation of layer outputs through the
@@ -60,10 +61,9 @@ pub use column::{ScanOrder, SchedulerConfig};
 pub use config::{Encoding, EncodingKey, Fidelity, PraConfig, SyncPolicy};
 pub use schedule::{EncodedLayer, LayerScheduler};
 pub use shared::{
-    ArtifactPool, PipelinedBuild, PoolOutcome, SharedEncodedNetwork, StoreOutcomes, TRAFFIC_KIND,
-    TRAFFIC_VERSION,
+    ArtifactPool, PipelinedBuild, SharedEncodedNetwork, TRAFFIC_KIND, TRAFFIC_VERSION,
 };
 pub use sim::{
-    run, run_pipelined, run_shared, run_shared_streaming, simulate_layer, simulate_layer_raw,
-    simulate_layer_shared, simulate_layer_view,
+    run, run_pipelined, simulate_layer, simulate_layer_raw, simulate_layer_shared,
+    simulate_layer_view,
 };

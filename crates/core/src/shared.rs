@@ -1,8 +1,8 @@
 //! Build-once simulation artifacts shared across design points.
 //!
-//! A sweep job evaluates one workload under several [`PraConfig`]s, and
-//! most of what `simulate_layer` builds per run does not depend on the
-//! whole design point:
+//! A sweep job or a serve batch evaluates one workload under several
+//! [`PraConfig`]s, and most of what a per-config simulation builds
+//! does not depend on the whole design point:
 //!
 //! * the encoded mask buffer ([`EncodedLayer`]) depends only on the
 //!   layer's neurons, its precision window and the [`EncodingKey`]
@@ -15,36 +15,43 @@
 //!   the paper's scheduling convention (§VI-A, [`shared_traffic`]) as
 //!   long as chip, NM layout and representation agree.
 //!
-//! [`SharedEncodedNetwork`] materializes each distinct artifact exactly
-//! once per layer and hands out shared handles;
-//! [`crate::sim::run_shared`] consumes them in place of the per-run
-//! construction. Results are cycle-for-cycle identical to the unshared
-//! path — pinned by the equivalence grid in `tests/memo_sim.rs`.
+//! These artifacts are built one way and consumed one way.
+//! [`SharedEncodedNetwork::start_pipelined`] starts a [`PipelinedBuild`]
+//! that materializes each distinct artifact exactly once per layer, in
+//! layer order, on a background thread; [`crate::sim::run_pipelined`]
+//! simulates one design point against it, layer *n* while layer *n + 1*
+//! is still building; and [`PipelinedBuild::finish`] assembles the
+//! layers into a [`SharedEncodedNetwork`] and publishes whatever the
+//! store missed. A network that already finished (an [`ArtifactPool`]
+//! hit) re-enters the same path as [`PipelinedBuild::finished`]: every
+//! layer present, no thread, nothing to publish. Results are
+//! cycle-for-cycle identical to per-config [`crate::sim::run`] — pinned
+//! by the equivalence grid in `tests/memo_sim.rs`.
 //!
 //! Two artifact kinds additionally persist across *processes* through
 //! the tiered [`ArtifactStore`] (DESIGN.md §9, §15):
 //!
 //! * the NM/SB traffic table (`"tr"` entries) — geometry + chip view
-//!   only, never neuron values, so one entry serves every seed;
+//!   only, never neuron values, so one entry serves every seed. The
+//!   start probes it synchronously (counters are small);
 //! * the encoded masks and schedule memos (`"en"` entries,
 //!   `crate::artifact`) — neuron-value dependent, keyed over the
-//!   workload's content address, shared across fidelities.
+//!   workload's content address, shared across fidelities. The builder
+//!   thread streams the entry one layer at a time, so a warm start
+//!   blocks on nothing heavier than key derivation.
 //!
-//! [`SharedEncodedNetwork::from_workload_stored`] resolves both tiers
-//! (pool → disk → generate is completed by [`ArtifactPool`] above it)
-//! and [`SharedEncodedNetwork::publish_encoded`] writes the encoded
-//! entry back once the simulation has warmed the memos.
+//! `finish` publishes a cold traffic count and a missed encoded entry —
+//! memo-warm by then, because the simulations that ran against the
+//! build filled the memos in place.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use pra_engines::shared_traffic;
 use pra_sim::{AccessCounters, ChipConfig, Dispatcher, NeuronMemory, NmLayout};
 use pra_workloads::cache::{ArtifactKind, ArtifactStore, CacheKey, CacheOutcome, KeyHasher};
 use pra_workloads::{LayerView, NetworkWorkload, Representation};
-use rayon::prelude::*;
 
-use crate::artifact::{ENCODED_KIND, ENCODER_VERSION};
+use crate::artifact::{LayerDecoder, ENCODED_KIND, ENCODER_VERSION};
 use crate::column::SchedulerConfig;
 use crate::config::{EncodingKey, PraConfig};
 use crate::schedule::{EncodedLayer, LayerScheduler};
@@ -62,48 +69,61 @@ pub const TRAFFIC_KIND: &str = "tr";
 /// One layer's shared artifacts: every distinct `(EncodingKey,
 /// SchedulerConfig)` pair the configuration set needs, each holding an
 /// [`Arc`] onto its (possibly further shared) mask buffer.
-#[derive(Clone)]
 pub(crate) struct SharedLayer {
     pub(crate) schedulers: Vec<(EncodingKey, SchedulerConfig, Arc<LayerScheduler>)>,
 }
 
-/// Per-layer NM/SB traffic plus the chip view it was counted under —
-/// counters are only handed out to consumers that match the view, so a
+impl SharedLayer {
+    /// The scheduler built for `cfg`'s encoding key and scheduler
+    /// parameters, if the layer covers them.
+    fn scheduler_for(&self, cfg: &PraConfig) -> Option<&Arc<LayerScheduler>> {
+        let (key, sched_cfg) = (cfg.encoding_key(), cfg.scheduler());
+        self.schedulers.iter().find(|(k, s, _)| *k == key && *s == sched_cfg).map(|(_, _, s)| s)
+    }
+}
+
+/// The chip view NM/SB traffic is counted under. Counters are only
+/// handed out to consumers whose view matches, so a
 /// chip/layout/representation ablation can never silently borrow
 /// mismatched numbers.
-struct TrafficTable {
+#[derive(Clone, Copy, PartialEq)]
+struct TrafficView {
     chip: ChipConfig,
     nm_layout: NmLayout,
     repr: Representation,
+}
+
+impl TrafficView {
+    fn of(cfg: &PraConfig) -> Self {
+        Self { chip: cfg.chip, nm_layout: cfg.nm_layout, repr: cfg.repr }
+    }
+
+    /// The view every configuration of `configs` shares, or `None` when
+    /// they disagree — the single definition behind both the sharing
+    /// decision and the cached-table eligibility.
+    fn shared_by(configs: &[PraConfig]) -> Option<Self> {
+        let lead = Self::of(&configs[0]);
+        configs.iter().all(|c| Self::of(c) == lead).then_some(lead)
+    }
+
+    /// Counts one layer's NM/SB traffic under this view — the per-layer
+    /// unit of the §VI-A shared-traffic convention.
+    fn count(&self, layer: &LayerView<'_>) -> AccessCounters {
+        let nm = NeuronMemory::new(self.nm_layout, self.chip.nm_row_neurons(self.repr.bits()));
+        shared_traffic(&self.chip, layer.spec, &Dispatcher::new(nm))
+    }
+}
+
+/// Per-layer NM/SB traffic plus the view it was counted under.
+struct TrafficTable {
+    view: TrafficView,
     per_layer: Vec<AccessCounters>,
-}
-
-/// A pending encoded-artifact publication: the key a tier-enabled
-/// build missed under, carried until [`SharedEncodedNetwork::
-/// publish_encoded`] writes the (by then memo-warm) entry. The flag
-/// makes publication once-only however many batches reuse the network.
-struct EncodedPending {
-    key: CacheKey,
-    wanted: Vec<(EncodingKey, SchedulerConfig)>,
-    published: AtomicBool,
-}
-
-/// Per-tier disk outcomes of one [`SharedEncodedNetwork::
-/// from_workload_stored`] build, reported in bench.json and the serve
-/// telemetry. `Disabled` covers both a disabled tier and (for traffic)
-/// a configuration set that does not share one traffic view.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StoreOutcomes {
-    /// Encoded masks + schedule memos (`"en"`).
-    pub encoded: CacheOutcome,
-    /// NM/SB traffic table (`"tr"`).
-    pub traffic: CacheOutcome,
 }
 
 /// The distinct `(EncodingKey, SchedulerConfig)` pairs of `configs`,
 /// preserving first-appearance order — the single definition shared by
-/// every build path and the encoded-artifact key/payload, so the
-/// persisted pair set can never diverge from what a build constructs.
+/// the builder and the encoded-artifact key/payload, so the persisted
+/// pair set can never diverge from what a build constructs.
 pub(crate) fn wanted_pairs(configs: &[PraConfig]) -> Vec<(EncodingKey, SchedulerConfig)> {
     let mut wanted: Vec<(EncodingKey, SchedulerConfig)> = Vec::new();
     for cfg in configs {
@@ -116,213 +136,17 @@ pub(crate) fn wanted_pairs(configs: &[PraConfig]) -> Vec<(EncodingKey, Scheduler
 }
 
 /// Encode-once, schedule-once artifacts for one workload under a set of
-/// design points (see the module docs).
+/// design points: what [`PipelinedBuild::finish`] assembles (see the
+/// module docs).
 pub struct SharedEncodedNetwork {
     layers: Vec<SharedLayer>,
     /// Shared traffic, present when every built config agrees on chip,
     /// NM layout and representation (`None` otherwise — consumers then
     /// fall back to computing their own).
     traffic: Option<TrafficTable>,
-    /// Set when a tier-enabled build missed the encoded entry; see
-    /// [`SharedEncodedNetwork::publish_encoded`].
-    encoded_pending: Option<EncodedPending>,
 }
 
 impl SharedEncodedNetwork {
-    /// Builds the shared artifacts for `layers` under `configs`,
-    /// fanning the per-layer encoding work out on the rayon pool.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `configs` is empty.
-    pub fn build(configs: &[PraConfig], layers: &[LayerView<'_>]) -> Self {
-        Self::build_inner(configs, layers, None)
-    }
-
-    /// [`SharedEncodedNetwork::build`] with an optional preloaded
-    /// per-layer traffic table (one entry per layer, in layer order) —
-    /// the warm-cache path skips the dispatch recount entirely.
-    fn build_inner(
-        configs: &[PraConfig],
-        layers: &[LayerView<'_>],
-        preloaded_traffic: Option<Vec<AccessCounters>>,
-    ) -> Self {
-        assert!(!configs.is_empty(), "SharedEncodedNetwork needs at least one configuration");
-        let wanted = wanted_pairs(configs);
-        let lead = configs[0];
-        let share_traffic = agree_on_traffic_view(configs);
-        let preloaded = preloaded_traffic.filter(|t| share_traffic && t.len() == layers.len());
-
-        let views: Vec<(usize, &LayerView<'_>)> = layers.iter().enumerate().collect();
-        let built: Vec<(SharedLayer, AccessCounters)> = views
-            .into_par_iter()
-            .map(|(idx, view)| {
-                build_layer(
-                    &wanted,
-                    &lead,
-                    share_traffic,
-                    preloaded.as_ref().map(|t| &t[idx]),
-                    view,
-                )
-            })
-            .collect();
-
-        let mut layers_out = Vec::with_capacity(built.len());
-        let mut traffic_out = Vec::with_capacity(built.len());
-        for (layer, traffic) in built {
-            layers_out.push(layer);
-            traffic_out.push(traffic);
-        }
-        let traffic = share_traffic.then_some(TrafficTable {
-            chip: lead.chip,
-            nm_layout: lead.nm_layout,
-            repr: lead.repr,
-            per_layer: traffic_out,
-        });
-        Self { layers: layers_out, traffic, encoded_pending: None }
-    }
-
-    /// [`SharedEncodedNetwork::build`] over a workload's layers.
-    pub fn from_workload(configs: &[PraConfig], workload: &NetworkWorkload) -> Self {
-        let views: Vec<LayerView<'_>> = workload.layers.iter().map(|l| l.view()).collect();
-        Self::build(configs, &views)
-    }
-
-    /// [`SharedEncodedNetwork::from_workload`] resolved through the
-    /// tiered artifact store: the encoded tier (`"en"`) replaces the
-    /// whole mask-encode with a deserialize on a warm run and arms a
-    /// deferred publication on a miss
-    /// ([`SharedEncodedNetwork::publish_encoded`]); the traffic tier
-    /// (`"tr"`) replaces the dispatch recount and publishes a cold
-    /// count immediately (counters are complete at build time, unlike
-    /// the memos). `seed` is the workload's generator seed — it reaches
-    /// the encoded key through the workload's content address, since
-    /// masks (unlike traffic) depend on neuron values.
-    ///
-    /// Either tier falls back bit-identically to a fresh build when
-    /// disabled, missing, corrupt, truncated or version-drifted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `configs` is empty.
-    pub fn from_workload_stored(
-        configs: &[PraConfig],
-        workload: &NetworkWorkload,
-        seed: u64,
-        store: &ArtifactStore,
-    ) -> (Self, StoreOutcomes) {
-        assert!(!configs.is_empty(), "SharedEncodedNetwork needs at least one configuration");
-        let views: Vec<LayerView<'_>> = workload.layers.iter().map(|l| l.view()).collect();
-        let wanted = wanted_pairs(configs);
-        let lead = configs[0];
-        let share_traffic = agree_on_traffic_view(configs);
-
-        // Encoded tier: probe before paying for the encode.
-        let mut encoded_outcome = CacheOutcome::Disabled;
-        let mut decoded: Option<Vec<SharedLayer>> = None;
-        let mut pending: Option<EncodedPending> = None;
-        if let Some(cache) = store.cache_for(ArtifactKind::Encoded) {
-            let key = crate::artifact::encoded_key(workload, seed, &wanted);
-            let dims: Vec<_> = views.iter().map(|v| v.neurons.dim()).collect();
-            decoded = cache
-                .load(ENCODED_KIND, ENCODER_VERSION, &key)
-                .and_then(|payload| crate::artifact::decode_layers(payload, &wanted, &dims));
-            if decoded.is_some() {
-                encoded_outcome = CacheOutcome::Hit;
-            } else {
-                encoded_outcome = CacheOutcome::Miss;
-                pending = Some(EncodedPending {
-                    key,
-                    wanted: wanted.clone(),
-                    published: AtomicBool::new(false),
-                });
-            }
-        }
-
-        // Traffic tier.
-        let mut traffic_outcome = CacheOutcome::Disabled;
-        let mut traffic_store_key: Option<CacheKey> = None;
-        let mut preloaded: Option<Vec<AccessCounters>> = None;
-        if share_traffic {
-            if let Some(cache) = store.cache_for(ArtifactKind::Traffic) {
-                let key = traffic_key(
-                    workload.network.name(),
-                    &views,
-                    &lead.chip,
-                    lead.nm_layout,
-                    lead.repr,
-                );
-                preloaded = cache
-                    .load(TRAFFIC_KIND, TRAFFIC_VERSION, &key)
-                    .and_then(|payload| decode_traffic(&payload, views.len()));
-                if preloaded.is_some() {
-                    traffic_outcome = CacheOutcome::Hit;
-                } else {
-                    traffic_outcome = CacheOutcome::Miss;
-                    traffic_store_key = Some(key);
-                }
-            }
-        }
-
-        let built = match decoded {
-            Some(layers) => {
-                // Masks and memos came off disk; only traffic remains.
-                let traffic = share_traffic.then(|| {
-                    let per_layer = preloaded.unwrap_or_else(|| {
-                        views.par_iter().map(|view| count_traffic(&lead, view)).collect()
-                    });
-                    TrafficTable {
-                        chip: lead.chip,
-                        nm_layout: lead.nm_layout,
-                        repr: lead.repr,
-                        per_layer,
-                    }
-                });
-                Self { layers, traffic, encoded_pending: None }
-            }
-            None => {
-                let mut built = Self::build_inner(configs, &views, preloaded);
-                built.encoded_pending = pending;
-                built
-            }
-        };
-        if let (Some(key), Some(cache), Some(table)) = (
-            traffic_store_key.as_ref(),
-            store.cache_for(ArtifactKind::Traffic),
-            built.traffic.as_ref(),
-        ) {
-            // Best-effort, like every cache store.
-            let _ =
-                cache.store(TRAFFIC_KIND, TRAFFIC_VERSION, key, &encode_traffic(&table.per_layer));
-        }
-        (built, StoreOutcomes { encoded: encoded_outcome, traffic: traffic_outcome })
-    }
-
-    /// Publishes the encoded-artifact entry this build missed under, if
-    /// any — called *after* simulation so the persisted memos carry the
-    /// brick schedules the run actually computed (publishing earlier
-    /// would be correct but cold: memo slots serialize as the lazy
-    /// sentinel and refill on load). No-op unless the build armed a
-    /// pending key, the store's encoded tier is enabled, and nothing
-    /// published this network before; returns `true` exactly when an
-    /// entry was written.
-    pub fn publish_encoded(&self, store: &ArtifactStore) -> bool {
-        let Some(pending) = self.encoded_pending.as_ref() else {
-            return false;
-        };
-        let Some(cache) = store.cache_for(ArtifactKind::Encoded) else {
-            return false;
-        };
-        // relaxed-ok: the flag only dedups publications; the entry
-        // content is independent of ordering, and a double publish
-        // would merely rewrite identical bytes.
-        if pending.published.swap(true, Ordering::Relaxed) {
-            return false;
-        }
-        let payload = crate::artifact::encode_layers(&self.layers, &pending.wanted);
-        cache.store(ENCODED_KIND, ENCODER_VERSION, &pending.key, &payload).is_ok()
-    }
-
     /// Number of layers the artifacts were built for.
     pub fn layer_count(&self) -> usize {
         self.layers.len()
@@ -336,15 +160,9 @@ impl SharedEncodedNetwork {
     /// `cfg`'s encoding key and scheduler parameters — sharing silently
     /// mismatched artifacts would corrupt results.
     pub fn scheduler(&self, layer: usize, cfg: &PraConfig) -> &Arc<LayerScheduler> {
-        let (key, sched_cfg) = (cfg.encoding_key(), cfg.scheduler());
-        self.layers[layer]
-            .schedulers
-            .iter()
-            .find(|(k, s, _)| *k == key && *s == sched_cfg)
-            .map(|(_, _, sched)| sched)
-            .unwrap_or_else(|| {
-                panic!("SharedEncodedNetwork was not built for {} (layer {layer})", cfg.label())
-            })
+        self.layers[layer].scheduler_for(cfg).unwrap_or_else(|| {
+            panic!("SharedEncodedNetwork was not built for {} (layer {layer})", cfg.label())
+        })
     }
 
     /// The shared NM/SB traffic counters for `layer` under `cfg`, or
@@ -355,7 +173,7 @@ impl SharedEncodedNetwork {
     pub fn traffic_for(&self, layer: usize, cfg: &PraConfig) -> Option<&AccessCounters> {
         self.traffic
             .as_ref()
-            .filter(|t| t.chip == cfg.chip && t.nm_layout == cfg.nm_layout && t.repr == cfg.repr)
+            .filter(|t| t.view == TrafficView::of(cfg))
             .map(|t| &t.per_layer[layer])
     }
 
@@ -370,19 +188,9 @@ impl SharedEncodedNetwork {
         layout: NmLayout,
         repr: Representation,
     ) -> Option<&[AccessCounters]> {
-        self.traffic
-            .as_ref()
-            .filter(|t| t.chip == *chip && t.nm_layout == layout && t.repr == repr)
-            .map(|t| t.per_layer.as_slice())
+        let view = TrafficView { chip: *chip, nm_layout: layout, repr };
+        self.traffic.as_ref().filter(|t| t.view == view).map(|t| t.per_layer.as_slice())
     }
-}
-
-/// Counts one layer's NM/SB traffic under the lead configuration's
-/// chip view — the per-layer unit of the §VI-A shared-traffic
-/// convention.
-fn count_traffic(lead: &PraConfig, view: &LayerView<'_>) -> AccessCounters {
-    let nm = NeuronMemory::new(lead.nm_layout, lead.chip.nm_row_neurons(lead.repr.bits()));
-    shared_traffic(&lead.chip, view.spec, &Dispatcher::new(nm))
 }
 
 /// Builds one layer's mask buffers and schedulers: every distinct
@@ -411,27 +219,6 @@ fn build_layer_artifacts(
         ));
     }
     SharedLayer { schedulers }
-}
-
-/// Builds one layer's shared artifacts (the pure per-layer unit both
-/// the rayon fan-out in [`SharedEncodedNetwork::build`] and the
-/// sequential [`PipelinedBuild`] thread map over): every distinct
-/// `(EncodingKey, SchedulerConfig)` pair, plus the layer's traffic
-/// counters (preloaded, counted under the lead view, or zeroed when
-/// the configuration set does not share one view).
-fn build_layer(
-    wanted: &[(EncodingKey, SchedulerConfig)],
-    lead: &PraConfig,
-    share_traffic: bool,
-    preloaded: Option<&AccessCounters>,
-    view: &LayerView<'_>,
-) -> (SharedLayer, AccessCounters) {
-    let traffic = match preloaded {
-        Some(table) => *table,
-        None if share_traffic => count_traffic(lead, view),
-        None => AccessCounters::new(),
-    };
-    (build_layer_artifacts(wanted, view), traffic)
 }
 
 /// Layer slots the pipelined builder fills in index order.
@@ -466,16 +253,29 @@ impl Drop for NotifyOnStop {
     }
 }
 
-/// A [`SharedEncodedNetwork`] build in flight: layers are built
-/// *sequentially, in index order, on a background thread*, and each
-/// layer's artifacts become consumable the moment they are ready — so a
-/// simulation thread can run layer *n* while the builder encodes layer
-/// *n + 1* (the serving tier's streaming overlap; DESIGN.md §14). The
-/// finished artifacts are assembled into an ordinary
-/// [`SharedEncodedNetwork`] by [`PipelinedBuild::finish`], and are
-/// bit-identical to what [`SharedEncodedNetwork::from_workload`] builds
-/// — per-layer artifact construction is pure, only its schedule moves.
-pub struct PipelinedBuild {
+/// The shared artifacts of one workload, as the simulator consumes
+/// them: layer by layer, each layer's artifacts consumable the moment
+/// they exist.
+///
+/// A build started by [`SharedEncodedNetwork::start_pipelined`] builds
+/// its layers *sequentially, in index order, on a background thread*,
+/// so a simulation thread can run layer *n* while the builder encodes
+/// (or streams off disk) layer *n + 1* (DESIGN.md §14);
+/// [`PipelinedBuild::finish`] assembles the layers into an ordinary
+/// [`SharedEncodedNetwork`]. A build made by [`PipelinedBuild::finished`]
+/// wraps a network that already exists. Both forms hand out the same
+/// artifacts — per-layer construction is pure, only its schedule moves.
+pub struct PipelinedBuild(Build);
+
+enum Build {
+    /// Layers still arriving from the builder thread.
+    InFlight(InFlight),
+    /// Every layer present: no thread, nothing to publish.
+    Finished(Arc<SharedEncodedNetwork>),
+}
+
+/// The in-flight form of a [`PipelinedBuild`].
+struct InFlight {
     state: Arc<(Mutex<PipeState>, Condvar)>,
     /// The builder launches *lazily*, on the first consumer
     /// ([`PipelinedBuild::artifacts`] or [`PipelinedBuild::finish`]):
@@ -486,24 +286,24 @@ pub struct PipelinedBuild {
     /// caller's blocking-phase clock. Deferring the spawn keeps the
     /// start cost at key derivation, warm or cold.
     launch: Mutex<Launch>,
-    lead: PraConfig,
-    share_traffic: bool,
+    wanted: Vec<(EncodingKey, SchedulerConfig)>,
+    /// The view shared traffic is counted under (`None` when the
+    /// configuration set disagrees on one).
+    traffic_view: Option<TrafficView>,
     layer_count: usize,
     /// The traffic-table cache key, kept so `finish` can publish a
     /// cold count (`None` when uncacheable or the load already hit).
-    store_key: Option<CacheKey>,
-    /// The encoded-artifact key a tier-enabled start armed, transferred
-    /// to the assembled network by `finish` when the builder reported a
-    /// miss (which also publishes: by then the sims that ran against
-    /// the in-flight build have warmed the memos) and dropped when the
-    /// entry streamed off disk.
-    encoded_pending: Option<EncodedPending>,
+    traffic_key: Option<CacheKey>,
+    /// The encoded-artifact key of a tier-enabled start: `finish`
+    /// publishes under it unless the builder reports the entry
+    /// streamed off disk intact.
+    encoded_key: Option<CacheKey>,
     /// What the traffic tier contributed at start; see
     /// [`PipelinedBuild::traffic_outcome`].
     traffic_outcome: CacheOutcome,
 }
 
-/// Deferred builder launch state; see [`PipelinedBuild::launch`].
+/// Deferred builder launch state; see [`InFlight::launch`].
 enum Launch {
     /// Not yet running: the whole-build closure, callable many times
     /// (all captures are read-only) but called at most once.
@@ -514,6 +314,95 @@ enum Launch {
 }
 
 impl PipelinedBuild {
+    /// A build that has already finished — how a pooled network
+    /// re-enters the one consumption path. It has every layer, starts
+    /// no thread, reports both store tiers `Disabled` (nothing touched
+    /// disk), and its [`PipelinedBuild::finish`] hands `network` back
+    /// without publishing anything.
+    pub fn finished(network: Arc<SharedEncodedNetwork>) -> Self {
+        Self(Build::Finished(network))
+    }
+
+    /// How many layers the build covers.
+    pub fn layer_count(&self) -> usize {
+        match &self.0 {
+            Build::InFlight(b) => b.layer_count,
+            Build::Finished(network) => network.layer_count(),
+        }
+    }
+
+    /// What the encoded store tier contributed: `Hit` when every mask
+    /// buffer and memo streamed off disk, `Miss` when a tier-enabled
+    /// build (re)encoded and `finish` will publish, `Disabled` when the
+    /// tier is off or the build had already finished. The probe runs on
+    /// the builder thread, so this settles with the final layer: read
+    /// it after the build completes (all layers consumed); earlier
+    /// reads see the tier's configuration (`Disabled`/`Miss`), not the
+    /// disk's answer.
+    pub fn encoded_outcome(&self) -> CacheOutcome {
+        match &self.0 {
+            Build::InFlight(b) => b.lock().encoded_outcome,
+            Build::Finished(_) => CacheOutcome::Disabled,
+        }
+    }
+
+    /// What the traffic store tier contributed at start (that probe is
+    /// cheap — counters, not masks — and stays synchronous): `Hit` when
+    /// the table loaded, `Miss` when `finish` will publish a cold
+    /// count, `Disabled` when the tier is off, the configuration set
+    /// does not share one traffic view, or the build had already
+    /// finished.
+    pub fn traffic_outcome(&self) -> CacheOutcome {
+        match &self.0 {
+            Build::InFlight(b) => b.traffic_outcome,
+            Build::Finished(_) => CacheOutcome::Disabled,
+        }
+    }
+
+    /// Blocks until `layer`'s artifacts are built, then returns the
+    /// shared scheduler for `cfg` plus the layer's traffic counters
+    /// (`None` exactly when [`SharedEncodedNetwork::traffic_for`]
+    /// would answer `None`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the build does not cover `cfg` or `layer`, or if the
+    /// builder thread died before producing the layer.
+    pub fn artifacts(
+        &self,
+        layer: usize,
+        cfg: &PraConfig,
+    ) -> (Arc<LayerScheduler>, Option<AccessCounters>) {
+        assert!(layer < self.layer_count(), "pipelined build has no layer {layer}");
+        match &self.0 {
+            Build::InFlight(b) => b.artifacts(layer, cfg),
+            Build::Finished(network) => (
+                Arc::clone(network.scheduler(layer, cfg)),
+                network.traffic_for(layer, cfg).copied(),
+            ),
+        }
+    }
+
+    /// Completes the build: an in-flight build joins its builder,
+    /// assembles the layers into a [`SharedEncodedNetwork`] and
+    /// publishes through `store` whatever the start missed — a cold
+    /// traffic count when one was keyed, and the encoded artifacts
+    /// (memo-warm: the sims that ran against the in-flight build filled
+    /// them in place). A finished build returns its network untouched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the builder thread panicked (the artifacts would be
+    /// incomplete; callers treat it like any worker panic).
+    pub fn finish(self, store: &ArtifactStore) -> Arc<SharedEncodedNetwork> {
+        match self.0 {
+            Build::InFlight(b) => Arc::new(b.finish(store)),
+            Build::Finished(network) => network,
+        }
+    }
+}
+
+impl InFlight {
     /// Spawns the builder if no consumer has yet; on thread exhaustion
     /// every layer is built inline here instead (no overlap, same
     /// bytes) — racing consumers park on the launch lock until the
@@ -537,51 +426,15 @@ impl PipelinedBuild {
         });
     }
 
-    /// How many layers the build covers.
-    pub fn layer_count(&self) -> usize {
-        self.layer_count
-    }
-
-    /// What the encoded store tier contributed: `Hit` when every mask
-    /// buffer and memo streamed off disk, `Miss` when a tier-enabled
-    /// build (re)encoded and `finish` will publish, `Disabled` when the
-    /// tier is off. The probe runs on the builder thread, so this
-    /// settles with the final layer: read it after the build completes
-    /// (all layers consumed, or [`PipelinedBuild::finish`] on the
-    /// assembled network's behalf); earlier reads see the tier's
-    /// configuration (`Disabled`/`Miss`), not the disk's answer.
-    pub fn encoded_outcome(&self) -> CacheOutcome {
-        self.lock().encoded_outcome
-    }
-
-    /// What the traffic store tier contributed at start (that probe is
-    /// cheap — counters, not masks — and stays synchronous): `Hit` when
-    /// the table loaded, `Miss` when `finish` will publish a cold
-    /// count, `Disabled` when the tier is off or the configuration set
-    /// does not share one traffic view.
-    pub fn traffic_outcome(&self) -> CacheOutcome {
-        self.traffic_outcome
-    }
-
     fn lock(&self) -> MutexGuard<'_, PipeState> {
         self.state.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Blocks until `layer`'s artifacts are built, then returns the
-    /// shared scheduler for `cfg` plus the layer's traffic counters
-    /// (`None` exactly when [`SharedEncodedNetwork::traffic_for`]
-    /// would answer `None`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the build does not cover `cfg` or `layer`, or if the
-    /// builder thread died before producing the layer.
-    pub fn artifacts(
+    fn artifacts(
         &self,
         layer: usize,
         cfg: &PraConfig,
     ) -> (Arc<LayerScheduler>, Option<AccessCounters>) {
-        assert!(layer < self.layer_count, "pipelined build has no layer {layer}");
         self.ensure_started();
         let mut g = self.lock();
         let (layer_arts, traffic) = loop {
@@ -594,34 +447,14 @@ impl PipelinedBuild {
             );
             g = self.state.1.wait(g).unwrap_or_else(PoisonError::into_inner);
         };
-        let (key, sched_cfg) = (cfg.encoding_key(), cfg.scheduler());
-        let sched = layer_arts
-            .schedulers
-            .iter()
-            .find(|(k, s, _)| *k == key && *s == sched_cfg)
-            .map(|(_, _, sched)| Arc::clone(sched))
-            .unwrap_or_else(|| {
-                panic!("PipelinedBuild was not started for {} (layer {layer})", cfg.label())
-            });
-        let traffic = (self.share_traffic
-            && cfg.chip == self.lead.chip
-            && cfg.nm_layout == self.lead.nm_layout
-            && cfg.repr == self.lead.repr)
-            .then_some(traffic);
+        let sched = layer_arts.scheduler_for(cfg).cloned().unwrap_or_else(|| {
+            panic!("PipelinedBuild was not built for {} (layer {layer})", cfg.label())
+        });
+        let traffic = (self.traffic_view == Some(TrafficView::of(cfg))).then_some(traffic);
         (sched, traffic)
     }
 
-    /// Joins the builder and assembles the completed layers into an
-    /// ordinary [`SharedEncodedNetwork`], publishing through `store`
-    /// whatever the start missed: a cold traffic count when one was
-    /// keyed, and the encoded artifacts (memo-warm — the sims that ran
-    /// against the in-flight build filled them in place).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the builder thread panicked (the artifacts would be
-    /// incomplete; callers treat it like any worker panic).
-    pub fn finish(mut self, store: &ArtifactStore) -> SharedEncodedNetwork {
+    fn finish(self, store: &ArtifactStore) -> SharedEncodedNetwork {
         self.ensure_started();
         let handle = match &mut *self.launch.lock().unwrap_or_else(PoisonError::into_inner) {
             Launch::Started(handle) => handle.take(),
@@ -631,63 +464,52 @@ impl PipelinedBuild {
             assert!(handle.join().is_ok(), "pipelined artifact build panicked");
         }
         let mut g = self.lock();
-        assert!(
-            g.built.iter().all(Option::is_some),
-            "pipelined build finished with missing layers"
-        );
-        let built: Vec<(SharedLayer, AccessCounters)> = g
-            .built
-            .drain(..)
-            .map(|slot| slot.unwrap_or_else(|| unreachable!("checked above")))
-            .collect();
+        let built: Option<Vec<(SharedLayer, AccessCounters)>> = g.built.drain(..).collect();
         let encoded_outcome = g.encoded_outcome;
         drop(g);
-        let mut layers_out = Vec::with_capacity(built.len());
-        let mut traffic_out = Vec::with_capacity(built.len());
-        for (layer, traffic) in built {
-            layers_out.push(layer);
-            traffic_out.push(traffic);
-        }
+        let built = built.unwrap_or_else(|| panic!("pipelined build finished with missing layers"));
+        let (layers, per_layer): (Vec<SharedLayer>, Vec<AccessCounters>) =
+            built.into_iter().unzip();
+        // Publication is best-effort, like every cache store.
         if let (Some(key), Some(cache)) =
-            (self.store_key.as_ref(), store.cache_for(ArtifactKind::Traffic))
+            (self.traffic_key.as_ref(), store.cache_for(ArtifactKind::Traffic))
         {
-            // Best-effort, like every cache store.
-            let _ = cache.store(TRAFFIC_KIND, TRAFFIC_VERSION, key, &encode_traffic(&traffic_out));
+            let _ = cache.store(TRAFFIC_KIND, TRAFFIC_VERSION, key, &encode_traffic(&per_layer));
         }
-        let traffic = self.share_traffic.then_some(TrafficTable {
-            chip: self.lead.chip,
-            nm_layout: self.lead.nm_layout,
-            repr: self.lead.repr,
-            per_layer: traffic_out,
-        });
-        let network = SharedEncodedNetwork {
-            layers: layers_out,
-            traffic,
-            // The entry streamed off disk intact: nothing to publish.
-            // Anything less (miss, corrupt, partial) keeps the armed
-            // key so the publish below repairs or creates the entry.
-            encoded_pending: (encoded_outcome != CacheOutcome::Hit)
-                .then(|| self.encoded_pending.take())
-                .flatten(),
-        };
-        network.publish_encoded(store);
-        network
+        // An entry that streamed off disk intact has nothing to
+        // publish; anything less (miss, corrupt, partial) creates or
+        // repairs it.
+        if let (Some(key), Some(cache), false) = (
+            self.encoded_key.as_ref(),
+            store.cache_for(ArtifactKind::Encoded),
+            encoded_outcome == CacheOutcome::Hit,
+        ) {
+            let payload = crate::artifact::encode_layers(&layers, &self.wanted);
+            let _ = cache.store(ENCODED_KIND, ENCODER_VERSION, key, &payload);
+        }
+        SharedEncodedNetwork {
+            layers,
+            traffic: self.traffic_view.map(|view| TrafficTable { view, per_layer }),
+        }
     }
 }
 
 impl SharedEncodedNetwork {
     /// Starts a pipelined (layer-at-a-time, background-thread) build of
-    /// the shared artifacts for `workload` under `configs` — the
-    /// streaming-overlap counterpart of
-    /// [`SharedEncodedNetwork::from_workload_stored`]. The traffic tier
-    /// is probed synchronously like the batch build (counters are
-    /// small); the *encoded* tier's probe — the entry load and its
-    /// streamed decode — rides the builder thread, so this call blocks
-    /// on nothing heavier than key derivation and a warm start's layers
-    /// become consumable one by one, exactly as a cold encode streams
-    /// them: warm or cold, the caller's foreground cost is simulation
-    /// only. If the build thread cannot be spawned, every layer is
-    /// built inline before this returns (slower, never wrong).
+    /// the shared artifacts for `workload` under `configs` — the only
+    /// way these artifacts are built. The traffic tier is probed
+    /// synchronously (counters are small); the *encoded* tier's probe —
+    /// the entry load and its streamed decode — rides the builder
+    /// thread, so this call blocks on nothing heavier than key
+    /// derivation and a warm start's layers become consumable one by
+    /// one, exactly as a cold encode streams them: warm or cold, the
+    /// caller's foreground cost is simulation only. If the build thread
+    /// cannot be spawned, the first consumer builds every layer inline
+    /// (slower, never wrong). Either tier falls back bit-identically to
+    /// a fresh build when disabled, missing, corrupt, truncated or
+    /// version-drifted. `seed` is the workload's generator seed — it
+    /// reaches the encoded key through the workload's content address,
+    /// since masks (unlike traffic) depend on neuron values.
     ///
     /// # Panics
     ///
@@ -700,49 +522,32 @@ impl SharedEncodedNetwork {
     ) -> PipelinedBuild {
         assert!(!configs.is_empty(), "SharedEncodedNetwork needs at least one configuration");
         let wanted = wanted_pairs(configs);
-        let lead = configs[0];
-        let share_traffic = agree_on_traffic_view(configs);
+        let traffic_view = TrafficView::shared_by(configs);
         let layer_count = workload.layers.len();
 
         // Encoded tier: derive the key now (cheap — it hashes
-        // generation inputs, not tensors), hand the cache handle to the
-        // builder, and arm the publish unconditionally; `finish` drops
-        // it when the builder reports the entry streamed intact.
+        // generation inputs, not tensors) and hand the cache handle to
+        // the builder.
         let encoded_probe = store
             .cache_for(ArtifactKind::Encoded)
             .map(|cache| (cache.clone(), crate::artifact::encoded_key(workload, seed, &wanted)));
-        let encoded_pending = encoded_probe.as_ref().map(|(_, key)| EncodedPending {
-            key: key.clone(),
-            wanted: wanted.clone(),
-            published: AtomicBool::new(false),
-        });
+        let encoded_key = encoded_probe.as_ref().map(|(_, key)| key.clone());
 
-        let (key, preloaded) = if share_traffic {
-            let views: Vec<LayerView<'_>> = workload.layers.iter().map(|l| l.view()).collect();
-            let key =
-                traffic_key(workload.network.name(), &views, &lead.chip, lead.nm_layout, lead.repr);
-            let preloaded = store
-                .cache_for(ArtifactKind::Traffic)
-                .and_then(|c| c.load(TRAFFIC_KIND, TRAFFIC_VERSION, &key))
-                .and_then(|payload| decode_traffic(&payload, layer_count));
-            (Some(key), preloaded)
-        } else {
-            (None, None)
+        // Traffic tier: only a configuration set sharing one view has a
+        // table to cache.
+        let traffic_probe = traffic_view
+            .zip(store.cache_for(ArtifactKind::Traffic))
+            .map(|(view, cache)| (cache, traffic_key(workload, &view)));
+        let preloaded = traffic_probe
+            .as_ref()
+            .and_then(|(cache, key)| cache.load(TRAFFIC_KIND, TRAFFIC_VERSION, key))
+            .and_then(|payload| decode_traffic(&payload, layer_count));
+        let traffic_outcome = match (&traffic_probe, &preloaded) {
+            (None, _) => CacheOutcome::Disabled,
+            (Some(_), Some(_)) => CacheOutcome::Hit,
+            (Some(_), None) => CacheOutcome::Miss,
         };
-        let hit = preloaded.is_some();
-        let traffic_outcome = if !share_traffic || store.cache_for(ArtifactKind::Traffic).is_none()
-        {
-            CacheOutcome::Disabled
-        } else if hit {
-            CacheOutcome::Hit
-        } else {
-            CacheOutcome::Miss
-        };
-        let store_key = if hit {
-            None
-        } else {
-            key.filter(|_| store.cache_for(ArtifactKind::Traffic).is_some())
-        };
+        let traffic_key = traffic_probe.map(|(_, key)| key).filter(|_| preloaded.is_none());
 
         let state = Arc::new((
             Mutex::new(PipeState {
@@ -758,14 +563,14 @@ impl SharedEncodedNetwork {
         ));
         let thread_state = Arc::clone(&state);
         let thread_workload = Arc::clone(workload);
+        let thread_wanted = wanted.clone();
         let build_all = move || {
-            use crate::artifact::LayerDecoder;
             let _notify = NotifyOnStop(Arc::clone(&thread_state));
             let last = thread_workload.layers.len().checked_sub(1);
             let mut decoder = encoded_probe.as_ref().and_then(|(cache, key)| {
                 let payload = cache.load(ENCODED_KIND, ENCODER_VERSION, key)?;
                 let dims: Vec<_> = thread_workload.layers.iter().map(|l| l.neurons.dim()).collect();
-                LayerDecoder::new(payload, &wanted, &dims)
+                LayerDecoder::new(payload, &thread_wanted, &dims)
             });
             for (idx, layer) in thread_workload.layers.iter().enumerate() {
                 let view = layer.view();
@@ -777,13 +582,13 @@ impl SharedEncodedNetwork {
                         // must not misalign later layers) and encode
                         // fresh — bit-identical either way.
                         decoder = None;
-                        build_layer_artifacts(&wanted, &view)
+                        build_layer_artifacts(&thread_wanted, &view)
                     }
                 };
-                let traffic = match preloaded.as_ref().map(|t| &t[idx]) {
-                    Some(table) => *table,
-                    None if share_traffic => count_traffic(&lead, &view),
-                    None => AccessCounters::new(),
+                let traffic = match (preloaded.as_ref(), traffic_view) {
+                    (Some(table), _) => table[idx],
+                    (None, Some(view_of)) => view_of.count(&view),
+                    (None, None) => AccessCounters::new(),
                 };
                 let streamed = decoder.as_ref().is_some_and(LayerDecoder::fully_consumed);
                 let (state, cv) = &*thread_state;
@@ -800,45 +605,29 @@ impl SharedEncodedNetwork {
                 cv.notify_all();
             }
         };
-        PipelinedBuild {
+        PipelinedBuild(Build::InFlight(InFlight {
             state,
             // Deferred: the first consumer spawns the builder (see the
             // field's doc) — this call stays free of a runnable thread.
             launch: Mutex::new(Launch::Pending(Arc::new(build_all))),
-            lead,
-            share_traffic,
+            wanted,
+            traffic_view,
             layer_count,
-            store_key,
-            encoded_pending,
+            traffic_key,
+            encoded_key,
             traffic_outcome,
-        }
+        }))
     }
 }
 
-/// Whether an [`ArtifactPool::get_or_build`] answered from memory or
-/// had to build — and, when it built, what each disk tier contributed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PoolOutcome {
-    /// Served from the in-memory pool; no disk access, no build.
-    Pooled,
-    /// Built this call, resolving through the store's tiers.
-    Built(StoreOutcomes),
-}
-
-impl PoolOutcome {
-    /// `true` exactly when the answer came from the in-memory pool.
-    pub fn pool_hit(&self) -> bool {
-        matches!(self, PoolOutcome::Pooled)
-    }
-}
-
-/// A bounded, most-recently-used in-memory pool of build-once
-/// artifacts, keyed by workload identity (network, representation,
-/// seed) plus the exact design-point set — the *batch-to-batch* reuse
-/// layer of the serving path (DESIGN.md §10), and the top tier of the
-/// pool → disk → generate resolution order: a miss here falls through
-/// to the [`ArtifactStore`]'s on-disk tiers (§9, §15) before any
-/// generation or encoding is paid for. The workload tensor and every
+/// A bounded, most-recently-used in-memory pool of finished builds,
+/// keyed by workload identity (network, representation, seed) plus the
+/// exact design-point set — the *batch-to-batch* reuse layer of the
+/// serving path (DESIGN.md §10), and the top tier of the pool → disk →
+/// generate resolution order: a miss here starts a
+/// [`SharedEncodedNetwork::start_pipelined`] build, which consults the
+/// [`ArtifactStore`]'s on-disk tiers (§9, §15) before any generation or
+/// encoding is paid for. The workload tensor and every
 /// mask/schedule/traffic artifact are handed out as shared [`Arc`]s,
 /// so a hit costs two pointer clones instead of a rebuild.
 ///
@@ -891,10 +680,11 @@ impl ArtifactPool {
         self.len() == 0
     }
 
-    /// A hit-only probe: the pooled workload and artifacts for the key,
-    /// or `None` without building anything. Lets cheap consumers (e.g.
-    /// a baselines-only batch that would never pay for an encode) still
-    /// profit from artifacts a richer batch already built.
+    /// The pooled workload and artifacts for the key (marking the entry
+    /// most-recently-used), or `None` without building anything. A
+    /// PRA consumer wraps a hit in [`PipelinedBuild::finished`]; a
+    /// baselines-only consumer that would never pay for an encode still
+    /// profits from the traffic a richer batch already built.
     pub fn lookup(
         &self,
         configs: &[PraConfig],
@@ -912,60 +702,10 @@ impl ArtifactPool {
         Some(out)
     }
 
-    /// Returns the workload and shared artifacts for `(network, repr,
-    /// seed)` under exactly `configs`, resolving pool → disk →
-    /// generate: from the pool when present (marking the entry
-    /// most-recently-used), otherwise built through `store` — the
-    /// workload via [`ArtifactStore::workload`], the artifacts via
-    /// [`SharedEncodedNetwork::from_workload_stored`] — and pooled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `configs` is empty (the shared build needs at least
-    /// one design point).
-    pub fn get_or_build(
-        &self,
-        configs: &[PraConfig],
-        network: pra_workloads::Network,
-        repr: Representation,
-        seed: u64,
-        store: &ArtifactStore,
-    ) -> (Arc<NetworkWorkload>, Arc<SharedEncodedNetwork>, PoolOutcome) {
-        assert!(!configs.is_empty(), "ArtifactPool needs at least one configuration");
-        if let Some((workload, shared)) = self.lookup(configs, network, repr, seed) {
-            return (workload, shared, PoolOutcome::Pooled);
-        }
-        // Build outside the lock: a slow build must not serialize other
-        // workers' pool hits (two racing builders of one key waste one
-        // build, which is benign — last insert wins).
-        let (workload, _) = store.workload(network, repr, seed);
-        let workload = Arc::new(workload);
-        let (shared, outcomes) =
-            SharedEncodedNetwork::from_workload_stored(configs, &workload, seed, store);
-        let shared = Arc::new(shared);
-        let mut entries = self.lock();
-        entries.insert(
-            0,
-            PoolEntry {
-                network,
-                repr,
-                seed,
-                configs: configs.to_vec(),
-                workload: Arc::clone(&workload),
-                shared: Arc::clone(&shared),
-            },
-        );
-        entries.truncate(self.capacity);
-        (workload, shared, PoolOutcome::Built(outcomes))
-    }
-
-    /// Pools artifacts that were built *outside* the pool — the
-    /// pipelined serve path builds its [`SharedEncodedNetwork`]
-    /// layer-by-layer via [`PipelinedBuild`] and publishes the
-    /// assembled result here, so the next batch over the same key is a
-    /// plain [`ArtifactPool::lookup`] hit. Semantics match the build
-    /// tail of [`ArtifactPool::get_or_build`]: insert most-recently-
-    /// used, evict beyond capacity, last racing insert wins.
+    /// Pools a finished build ([`PipelinedBuild::finish`]'s network)
+    /// so the next batch over the same key is a
+    /// [`ArtifactPool::lookup`] hit: inserted most-recently-used,
+    /// entries beyond capacity evicted, last racing insert wins.
     pub fn insert(
         &self,
         network: pra_workloads::Network,
@@ -998,17 +738,6 @@ impl ArtifactPool {
     }
 }
 
-/// `true` when every configuration sees the same traffic view (chip,
-/// NM layout, representation) — the single definition behind both the
-/// build-time sharing decision and the cached-table eligibility, so
-/// the two can never diverge if the view ever grows a field.
-fn agree_on_traffic_view(configs: &[PraConfig]) -> bool {
-    let lead = configs[0];
-    configs
-        .iter()
-        .all(|c| c.chip == lead.chip && c.nm_layout == lead.nm_layout && c.repr == lead.repr)
-}
-
 /// Compile-time fingerprint of the traffic-counting pipeline's sources
 /// (this module, `shared_traffic` in pra-engines, the dispatcher/NM
 /// model and counters in pra-sim), mixed into every traffic key: a
@@ -1033,25 +762,20 @@ fn traffic_source_fingerprint() -> u64 {
     })
 }
 
-/// Content-address of a network's shared traffic table: per-layer
+/// Content-address of a workload's shared traffic table: per-layer
 /// geometry plus the full chip view. Traffic never depends on neuron
 /// values or the workload seed, so one entry serves every seed and
 /// every fidelity.
-fn traffic_key(
-    network_name: &str,
-    layers: &[LayerView<'_>],
-    chip: &ChipConfig,
-    layout: NmLayout,
-    repr: Representation,
-) -> CacheKey {
+fn traffic_key(workload: &NetworkWorkload, view: &TrafficView) -> CacheKey {
     let mut h = KeyHasher::new("pra-traffic-v1");
     h.u32(TRAFFIC_VERSION);
     h.u64(traffic_source_fingerprint());
-    h.str(network_name);
-    h.u64(layers.len() as u64);
-    for view in layers {
-        h.conv_spec(view.spec);
+    h.str(workload.network.name());
+    h.u64(workload.layers.len() as u64);
+    for layer in &workload.layers {
+        h.conv_spec(&layer.spec);
     }
+    let chip = &view.chip;
     for d in [
         chip.tiles,
         chip.filters_per_tile,
@@ -1064,11 +788,11 @@ fn traffic_key(
         h.u64(d as u64);
     }
     h.f64(chip.frequency_ghz);
-    h.u32(match layout {
+    h.u32(match view.nm_layout {
         NmLayout::PalletMajor => 0,
         NmLayout::RowMajor => 1,
     });
-    h.u32(repr.bits());
+    h.u32(view.repr.bits());
     h.finish()
 }
 
@@ -1155,22 +879,70 @@ pub(crate) fn test_toy_workload() -> NetworkWorkload {
 mod tests {
     use super::*;
     use crate::config::Encoding;
-    use pra_fixed::PrecisionWindow;
-    use pra_tensor::{ConvLayerSpec, Tensor3};
-    use pra_workloads::{LayerWorkload, Representation};
+    use crate::sim::run_pipelined;
+    use pra_sim::RunResult;
+    use pra_workloads::Representation;
+    use proptest::prelude::*;
 
-    fn toy_layer() -> LayerWorkload {
-        let spec = ConvLayerSpec::new("toy", (12, 6, 32), (3, 3), 32, 1, 1).unwrap();
-        LayerWorkload {
-            neurons: Tensor3::from_fn(spec.input, |x, y, i| ((x * 31 + y * 7 + i) % 777) as u16),
-            spec,
-            window: PrecisionWindow::with_width(9, 2),
-            stripes_precision: 9,
-        }
+    fn toy_workload() -> Arc<NetworkWorkload> {
+        Arc::new(test_toy_workload())
     }
 
-    fn toy_workload() -> NetworkWorkload {
-        test_toy_workload()
+    fn memless() -> ArtifactStore {
+        ArtifactStore::at_default().no_disk()
+    }
+
+    /// The single builder, run synchronously over a diskless store.
+    fn built(configs: &[PraConfig], workload: &Arc<NetworkWorkload>) -> Arc<SharedEncodedNetwork> {
+        let store = memless();
+        SharedEncodedNetwork::start_pipelined(configs, workload, 0, &store).finish(&store)
+    }
+
+    /// One build as the sweep runs it: every config simulates while the
+    /// layers arrive (warming the memos), the tier outcomes are read
+    /// once all layers were consumed, then `finish` publishes.
+    fn run_build(
+        configs: &[PraConfig],
+        workload: &Arc<NetworkWorkload>,
+        seed: u64,
+        store: &ArtifactStore,
+    ) -> (Vec<RunResult>, CacheOutcome, CacheOutcome, Arc<SharedEncodedNetwork>) {
+        let build = SharedEncodedNetwork::start_pipelined(configs, workload, seed, store);
+        let results =
+            configs.iter().map(|c| run_pipelined(c, workload, &build, |_, _| {})).collect();
+        let outcomes = (build.encoded_outcome(), build.traffic_outcome());
+        (results, outcomes.0, outcomes.1, build.finish(store))
+    }
+
+    /// Every config of `configs` simulated against an already-built
+    /// network.
+    fn run_finished(
+        configs: &[PraConfig],
+        workload: &NetworkWorkload,
+        network: &Arc<SharedEncodedNetwork>,
+    ) -> Vec<RunResult> {
+        let done = PipelinedBuild::finished(Arc::clone(network));
+        configs.iter().map(|c| run_pipelined(c, workload, &done, |_, _| {})).collect()
+    }
+
+    /// Pool → build resolution as the serving path performs it: a hit
+    /// answers from the pool; a miss builds through `store` and pools
+    /// the finished network. Returns whether the pool answered.
+    fn pooled(
+        pool: &ArtifactPool,
+        configs: &[PraConfig],
+        seed: u64,
+        store: &ArtifactStore,
+    ) -> (Arc<NetworkWorkload>, Arc<SharedEncodedNetwork>, bool) {
+        let (net, repr) = (pra_workloads::Network::AlexNet, Representation::Fixed16);
+        if let Some((workload, shared)) = pool.lookup(configs, net, repr, seed) {
+            return (workload, shared, true);
+        }
+        let workload = Arc::new(store.workload(net, repr, seed).0);
+        let shared =
+            SharedEncodedNetwork::start_pipelined(configs, &workload, seed, store).finish(store);
+        pool.insert(net, repr, seed, configs, Arc::clone(&workload), Arc::clone(&shared));
+        (workload, shared, false)
     }
 
     /// A store over a fresh scratch directory (removed on drop misuse
@@ -1185,19 +957,28 @@ mod tests {
         (dir, store)
     }
 
-    fn memless() -> ArtifactStore {
-        ArtifactStore::at_default().no_disk()
+    /// Removes every `en-*` entry in `dir`, returning how many there
+    /// were.
+    fn remove_encoded_entries(dir: &std::path::Path) -> usize {
+        let Ok(rd) = std::fs::read_dir(dir) else { return 0 };
+        let mut n = 0;
+        for entry in rd.flatten() {
+            if entry.file_name().to_string_lossy().starts_with("en-") {
+                std::fs::remove_file(entry.path()).unwrap();
+                n += 1;
+            }
+        }
+        n
     }
 
     #[test]
     fn equal_scheduler_configs_share_one_scheduler() {
-        let layer = toy_layer();
         let configs = [
             PraConfig::two_stage(2, Representation::Fixed16),
             PraConfig::per_column(1, Representation::Fixed16),
             PraConfig::single_stage(Representation::Fixed16),
         ];
-        let shared = SharedEncodedNetwork::build(&configs, &[layer.view()]);
+        let shared = built(&configs, &toy_workload());
         // PRA-2b and PRA-2b-1R agree on (key, scheduler): same Arc.
         let a = shared.scheduler(0, &configs[0]);
         let b = shared.scheduler(0, &configs[1]);
@@ -1210,13 +991,12 @@ mod tests {
 
     #[test]
     fn distinct_encodings_get_distinct_masks() {
-        let layer = toy_layer();
         let csd = PraConfig {
             encoding: Encoding::Csd,
             ..PraConfig::two_stage(2, Representation::Fixed16)
         };
         let one = PraConfig::two_stage(2, Representation::Fixed16);
-        let shared = SharedEncodedNetwork::build(&[one, csd], &[layer.view()]);
+        let shared = built(&[one, csd], &toy_workload());
         let a = shared.scheduler(0, &one);
         let b = shared.scheduler(0, &csd);
         assert!(!Arc::ptr_eq(a.encoded_arc(), b.encoded_arc()));
@@ -1224,20 +1004,26 @@ mod tests {
 
     #[test]
     fn traffic_shared_only_under_matching_chip_view() {
-        let layer = toy_layer();
+        let workload = toy_workload();
         let one = PraConfig::two_stage(2, Representation::Fixed16);
-        let shared = SharedEncodedNetwork::build(&[one], &[layer.view()]);
+        let row_major = PraConfig { nm_layout: NmLayout::RowMajor, ..one };
+        let quant = PraConfig::two_stage(2, Representation::Quant8);
+        // The in-flight build hands out traffic under the same rule the
+        // assembled network applies.
+        let store = memless();
+        let pipe = SharedEncodedNetwork::start_pipelined(&[one], &workload, 0, &store);
+        assert!(pipe.artifacts(0, &one).1.is_some());
+        assert!(pipe.artifacts(0, &row_major).1.is_none(), "layout ablation must not reuse");
+        let shared = pipe.finish(&store);
         assert!(shared.traffic_for(0, &one).is_some());
         assert!(shared.traffic_view(&one.chip, one.nm_layout, one.repr).is_some());
         // A consumer whose chip view differs gets nothing — even though
         // its scheduler parameters match, it must count its own traffic.
-        let row_major = PraConfig { nm_layout: NmLayout::RowMajor, ..one };
         let _ = shared.scheduler(0, &row_major); // schedules DO match
         assert!(shared.traffic_for(0, &row_major).is_none(), "layout ablation must not reuse");
         assert!(shared.traffic_view(&one.chip, NmLayout::RowMajor, one.repr).is_none());
-        let quant = PraConfig::two_stage(2, Representation::Quant8);
         assert!(shared.traffic_for(0, &quant).is_none());
-        let mixed = SharedEncodedNetwork::build(&[one, quant], &[layer.view()]);
+        let mixed = built(&[one, quant], &workload);
         assert!(
             mixed.traffic_for(0, &one).is_none(),
             "mixed representations must not share traffic"
@@ -1258,14 +1044,12 @@ mod tests {
         let (dir, store) = scratch_store("traffic", &[ArtifactKind::Traffic]);
         let workload = toy_workload();
         let configs = [PraConfig::two_stage(2, Representation::Fixed16)];
-        let (cold, cold_out) =
-            SharedEncodedNetwork::from_workload_stored(&configs, &workload, 0xA, &store);
-        assert_eq!(cold_out.traffic, CacheOutcome::Miss, "first build must count traffic");
-        assert_eq!(cold_out.encoded, CacheOutcome::Disabled, "encoded tier not enabled here");
-        let (warm, warm_out) =
-            SharedEncodedNetwork::from_workload_stored(&configs, &workload, 0xA, &store);
-        assert_eq!(warm_out.traffic, CacheOutcome::Hit, "second build must load the table");
-        let plain = SharedEncodedNetwork::from_workload(&configs, &workload);
+        let (_, encoded, traffic, cold) = run_build(&configs, &workload, 0xA, &store);
+        assert_eq!(traffic, CacheOutcome::Miss, "first build must count traffic");
+        assert_eq!(encoded, CacheOutcome::Disabled, "encoded tier not enabled here");
+        let (_, _, traffic, warm) = run_build(&configs, &workload, 0xA, &store);
+        assert_eq!(traffic, CacheOutcome::Hit, "second build must load the table");
+        let plain = built(&configs, &workload);
         let chip = configs[0].chip;
         let (layout, repr) = (configs[0].nm_layout, configs[0].repr);
         assert_eq!(
@@ -1283,13 +1067,11 @@ mod tests {
     #[test]
     fn mixed_chip_views_skip_the_traffic_cache() {
         let (dir, store) = scratch_store("traffic-mixed", &[ArtifactKind::Traffic]);
-        let workload = toy_workload();
         let one = PraConfig::two_stage(2, Representation::Fixed16);
         let row_major = PraConfig { nm_layout: NmLayout::RowMajor, ..one };
-        let (built, out) =
-            SharedEncodedNetwork::from_workload_stored(&[one, row_major], &workload, 0xA, &store);
+        let (_, _, traffic, built) = run_build(&[one, row_major], &toy_workload(), 0xA, &store);
         assert_eq!(
-            out.traffic,
+            traffic,
             CacheOutcome::Disabled,
             "disagreeing chip views have no shared table to cache"
         );
@@ -1310,18 +1092,23 @@ mod tests {
             PraConfig::single_stage(Representation::Fixed16),
             PraConfig::per_column(1, Representation::Fixed16),
         ];
-        let (cold, cold_out) =
-            SharedEncodedNetwork::from_workload_stored(&configs, &workload, 0xE, &store);
-        assert_eq!(cold_out.encoded, CacheOutcome::Miss);
-        // Warm the memos the way a real run would, then publish.
-        let cold_results: Vec<_> =
-            configs.iter().map(|c| crate::run_shared(c, &workload, &cold)).collect();
-        assert!(cold.publish_encoded(&store), "a missed build must publish");
-        assert!(!cold.publish_encoded(&store), "publication is once-only");
-        let (warm, warm_out) =
-            SharedEncodedNetwork::from_workload_stored(&configs, &workload, 0xE, &store);
-        assert_eq!(warm_out.encoded, CacheOutcome::Hit, "second build must load the entry");
-        assert!(!warm.publish_encoded(&store), "a hit has nothing to publish");
+        let (cold_results, encoded, _, cold) = run_build(&configs, &workload, 0xE, &store);
+        assert_eq!(encoded, CacheOutcome::Miss);
+        assert_eq!(remove_encoded_entries(&dir), 1, "a missed build must publish");
+        // Publication is once-only: the finished network re-entering
+        // the build path publishes nothing.
+        let _ = PipelinedBuild::finished(Arc::clone(&cold)).finish(&store);
+        assert_eq!(remove_encoded_entries(&dir), 0, "a finished build publishes nothing");
+        // Put the entry back (identical bytes: the encode is pure).
+        let (_, encoded, _, _) = run_build(&configs, &workload, 0xE, &store);
+        assert_eq!(encoded, CacheOutcome::Miss);
+        let build = SharedEncodedNetwork::start_pipelined(&configs, &workload, 0xE, &store);
+        let warm_results: Vec<RunResult> =
+            configs.iter().map(|c| run_pipelined(c, &workload, &build, |_, _| {})).collect();
+        assert_eq!(build.encoded_outcome(), CacheOutcome::Hit, "second build must load the entry");
+        assert_eq!(remove_encoded_entries(&dir), 1);
+        let warm = build.finish(&store);
+        assert_eq!(remove_encoded_entries(&dir), 0, "a hit has nothing to publish");
         // The loaded artifacts reconstruct the sharing invariant …
         let a = warm.scheduler(0, &configs[0]);
         let b = warm.scheduler(0, &configs[2]);
@@ -1329,17 +1116,11 @@ mod tests {
         let c = warm.scheduler(0, &configs[1]);
         assert!(Arc::ptr_eq(a.encoded_arc(), c.encoded_arc()), "same key must share masks");
         // … and produce bit-identical results.
-        for (cfg, cold_result) in configs.iter().zip(&cold_results) {
-            assert_eq!(
-                &crate::run_shared(cfg, &workload, &warm),
-                cold_result,
-                "warm artifacts must be invisible in the results"
-            );
-        }
+        assert_eq!(warm_results, cold_results, "warm artifacts must be invisible in the results");
+        assert_eq!(run_finished(&configs, &workload, &warm), cold_results);
         // A different seed is a different entry (masks depend on values).
-        let (_, other_seed) =
-            SharedEncodedNetwork::from_workload_stored(&configs, &workload, 0xF, &store);
-        assert_eq!(other_seed.encoded, CacheOutcome::Miss, "seed must separate encoded entries");
+        let (_, other_seed, _, _) = run_build(&configs, &workload, 0xF, &store);
+        assert_eq!(other_seed, CacheOutcome::Miss, "seed must separate encoded entries");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1347,19 +1128,18 @@ mod tests {
     fn pipelined_build_loads_and_publishes_the_encoded_entry() {
         let (dir, store) =
             scratch_store("encoded-pipe", &[ArtifactKind::Encoded, ArtifactKind::Traffic]);
-        let workload = Arc::new(toy_workload());
+        let workload = toy_workload();
         let configs = [PraConfig::two_stage(2, Representation::Fixed16)];
         let pipe = SharedEncodedNetwork::start_pipelined(&configs, &workload, 0xE, &store);
         let cold = pipe.finish(&store);
         // finish() published even with cold memos: the entry is valid,
         // its memo slots simply stay lazy.
-        let (warm, out) =
-            SharedEncodedNetwork::from_workload_stored(&configs, &workload, 0xE, &store);
-        assert_eq!(out.encoded, CacheOutcome::Hit, "finish must have published");
-        assert_eq!(out.traffic, CacheOutcome::Hit, "finish must have published traffic too");
+        let (warm_results, encoded, traffic, _) = run_build(&configs, &workload, 0xE, &store);
+        assert_eq!(encoded, CacheOutcome::Hit, "finish must have published");
+        assert_eq!(traffic, CacheOutcome::Hit, "finish must have published traffic too");
         assert_eq!(
-            crate::run_shared(&configs[0], &workload, &warm),
-            crate::run_shared(&configs[0], &workload, &cold),
+            warm_results,
+            run_finished(&configs, &workload, &cold),
             "pipelined-published artifacts must be invisible in the results"
         );
         // And a warm pipelined start consumes the entry.
@@ -1372,28 +1152,40 @@ mod tests {
     }
 
     #[test]
+    fn a_finished_build_hands_out_the_networks_own_artifacts() {
+        let configs = [PraConfig::two_stage(2, Representation::Fixed16)];
+        let network = built(&configs, &toy_workload());
+        let done = PipelinedBuild::finished(Arc::clone(&network));
+        assert_eq!(done.layer_count(), 2);
+        assert_eq!(done.encoded_outcome(), CacheOutcome::Disabled, "nothing touched disk");
+        assert_eq!(done.traffic_outcome(), CacheOutcome::Disabled);
+        let (sched, traffic) = done.artifacts(1, &configs[0]);
+        assert!(Arc::ptr_eq(&sched, network.scheduler(1, &configs[0])));
+        assert_eq!(traffic.as_ref(), network.traffic_for(1, &configs[0]));
+        assert!(Arc::ptr_eq(&done.finish(&memless()), &network), "finish hands the network back");
+    }
+
+    #[test]
     fn artifact_pool_reuses_handles_across_batches() {
         let pool = ArtifactPool::new(2);
         let store = memless();
         let configs = [PraConfig::two_stage(2, Representation::Fixed16)];
         let net = pra_workloads::Network::AlexNet;
-        let (w1, s1, out1) = pool.get_or_build(&configs, net, Representation::Fixed16, 0xA, &store);
-        assert!(!out1.pool_hit(), "first batch builds");
+        let (w1, s1, hit) = pooled(&pool, &configs, 0xA, &store);
+        assert!(!hit, "first batch builds");
+        let start = SharedEncodedNetwork::start_pipelined(&configs, &w1, 0xA, &store);
         assert_eq!(
-            out1,
-            PoolOutcome::Built(StoreOutcomes {
-                encoded: CacheOutcome::Disabled,
-                traffic: CacheOutcome::Disabled,
-            }),
+            (start.encoded_outcome(), start.traffic_outcome()),
+            (CacheOutcome::Disabled, CacheOutcome::Disabled),
             "a diskless store reports both tiers off"
         );
-        let (w2, s2, out2) = pool.get_or_build(&configs, net, Representation::Fixed16, 0xA, &store);
-        assert!(out2.pool_hit(), "second batch reuses");
+        let (w2, s2, hit) = pooled(&pool, &configs, 0xA, &store);
+        assert!(hit, "second batch reuses");
         assert!(Arc::ptr_eq(&w1, &w2), "the workload handle is shared, not rebuilt");
         assert!(Arc::ptr_eq(&s1, &s2), "the artifact handle is shared, not rebuilt");
         // A different seed is a different workload: no reuse.
-        let (_, s3, out3) = pool.get_or_build(&configs, net, Representation::Fixed16, 0xB, &store);
-        assert!(!out3.pool_hit());
+        let (_, s3, hit) = pooled(&pool, &configs, 0xB, &store);
+        assert!(!hit);
         assert!(!Arc::ptr_eq(&s1, &s3));
         // A different design-point set never borrows mismatched artifacts.
         let other = [PraConfig::single_stage(Representation::Fixed16)];
@@ -1408,9 +1200,7 @@ mod tests {
         let configs = [PraConfig::two_stage(2, Representation::Fixed16)];
         let net = pra_workloads::Network::AlexNet;
         for seed in [1u64, 2, 3] {
-            let (_, _, out) =
-                pool.get_or_build(&configs, net, Representation::Fixed16, seed, &store);
-            assert!(!out.pool_hit());
+            assert!(!pooled(&pool, &configs, seed, &store).2);
         }
         assert_eq!(pool.len(), 2, "capacity binds");
         // Seed 1 was least recently used and fell out; 2 and 3 remain.
@@ -1420,8 +1210,7 @@ mod tests {
         // The lookup refreshed seed 2: inserting a fourth entry now
         // evicts 3, not 2.
         assert!(pool.lookup(&configs, net, Representation::Fixed16, 2).is_some());
-        let (_, _, out) = pool.get_or_build(&configs, net, Representation::Fixed16, 4, &store);
-        assert!(!out.pool_hit());
+        assert!(!pooled(&pool, &configs, 4, &store).2);
         assert!(pool.lookup(&configs, net, Representation::Fixed16, 2).is_some());
         assert!(pool.lookup(&configs, net, Representation::Fixed16, 3).is_none());
     }
@@ -1433,11 +1222,13 @@ mod tests {
         let configs = [PraConfig::two_stage(2, Representation::Fixed16)
             .with_fidelity(crate::Fidelity::Sampled { max_pallets: 2 })];
         let net = pra_workloads::Network::AlexNet;
-        let (w, s, _) = pool.get_or_build(&configs, net, Representation::Fixed16, 0xC, &store);
-        let pooled = crate::run_shared(&configs[0], &w, &s);
+        let _ = pooled(&pool, &configs, 0xC, &store);
+        let (w, s, hit) = pooled(&pool, &configs, 0xC, &store);
+        assert!(hit);
+        let pooled = run_finished(&configs, &w, &s);
         let direct =
             crate::run(&configs[0], &NetworkWorkload::build(net, Representation::Fixed16, 0xC));
-        assert_eq!(pooled, direct, "pool reuse must be invisible in the results");
+        assert_eq!(pooled, vec![direct], "pool reuse must be invisible in the results");
     }
 
     #[test]
@@ -1446,8 +1237,7 @@ mod tests {
         let store = memless();
         let configs = [PraConfig::two_stage(2, Representation::Fixed16)];
         let net = pra_workloads::Network::AlexNet;
-        let (_, _, out) = pool.get_or_build(&configs, net, Representation::Fixed16, 0xA, &store);
-        assert!(!out.pool_hit());
+        assert!(!pooled(&pool, &configs, 0xA, &store).2);
         // Poison the pool mutex the way a panicking worker would: die
         // while holding it mid-operation.
         let p2 = Arc::clone(&pool);
@@ -1461,25 +1251,65 @@ mod tests {
         // Every pool operation keeps working on the recovered state.
         assert_eq!(pool.len(), 1);
         assert!(pool.lookup(&configs, net, Representation::Fixed16, 0xA).is_some());
-        let (_, _, out) = pool.get_or_build(&configs, net, Representation::Fixed16, 0xA, &store);
-        assert!(out.pool_hit(), "the surviving entry still serves hits after recovery");
+        assert!(
+            pooled(&pool, &configs, 0xA, &store).2,
+            "the surviving entry still serves hits after recovery"
+        );
         // Supervisor-style eviction drops the suspect workload's entry
         // (and only that one), forcing the next batch to rebuild.
-        let (_, _, _) = pool.get_or_build(&configs, net, Representation::Fixed16, 0xB, &store);
+        let _ = pooled(&pool, &configs, 0xB, &store);
         assert_eq!(pool.evict(net, Representation::Fixed16, 0xA), 1);
         assert_eq!(pool.evict(net, Representation::Fixed16, 0xA), 0, "evict is idempotent");
         assert!(pool.lookup(&configs, net, Representation::Fixed16, 0xA).is_none());
         assert!(pool.lookup(&configs, net, Representation::Fixed16, 0xB).is_some());
-        let (_, _, out) = pool.get_or_build(&configs, net, Representation::Fixed16, 0xA, &store);
-        assert!(!out.pool_hit(), "an evicted entry rebuilds");
+        assert!(!pooled(&pool, &configs, 0xA, &store).2, "an evicted entry rebuilds");
     }
 
     #[test]
     #[should_panic(expected = "not built for")]
     fn missing_configuration_panics() {
-        let layer = toy_layer();
         let one = PraConfig::two_stage(2, Representation::Fixed16);
-        let shared = SharedEncodedNetwork::build(&[one], &[layer.view()]);
+        let shared = built(&[one], &toy_workload());
         let _ = shared.scheduler(0, &PraConfig::single_stage(Representation::Fixed16));
+    }
+
+    #[test]
+    #[should_panic(expected = "not built for")]
+    fn missing_configuration_panics_in_flight() {
+        let one = PraConfig::two_stage(2, Representation::Fixed16);
+        let pipe = SharedEncodedNetwork::start_pipelined(&[one], &toy_workload(), 0, &memless());
+        let _ = pipe.artifacts(0, &PraConfig::single_stage(Representation::Fixed16));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Mangled traffic payloads — truncated, extended or
+        /// byte-flipped — never panic the decoder, and anything it
+        /// accepts has exactly the encoded length.
+        #[test]
+        fn traffic_decoder_never_panics(
+            op in 0u8..3,
+            at in any::<usize>(),
+            flip in 1u8..=255,
+            extra in prop::collection::vec(any::<u8>(), 1..80),
+        ) {
+            let table: Vec<AccessCounters> = (0..3u64)
+                .map(|i| AccessCounters { nm_brick_reads: i, terms: 9 * i, ..Default::default() })
+                .collect();
+            let mut payload = encode_traffic(&table);
+            let len = payload.len();
+            match op {
+                0 => payload.truncate(at % len),
+                1 => payload.extend_from_slice(&extra),
+                _ => payload[at % len] ^= flip,
+            }
+            for expected in [0, 2, 3, 4] {
+                if let Some(decoded) = decode_traffic(&payload, expected) {
+                    prop_assert_eq!(decoded.len(), expected);
+                    prop_assert_eq!(payload.len(), len);
+                }
+            }
+        }
     }
 }

@@ -15,6 +15,12 @@
 //! implementation is retained as [`simulate_layer_raw`], the
 //! cycle-for-cycle oracle that tests and the `micro` bench compare
 //! against.
+//!
+//! A network run has two entry points: [`run`] encodes and schedules
+//! per design point (the reference), and [`run_pipelined`] runs one
+//! design point against the artifacts a [`PipelinedBuild`] shares
+//! across design points (the sweep and serving path) — in flight or
+//! already finished, with a per-layer observer for streaming.
 
 use pra_engines::shared_traffic;
 use pra_sim::{AccessCounters, ChipConfig, Dispatcher, LayerResult, NeuronMemory, RunResult};
@@ -26,7 +32,7 @@ use rayon::prelude::*;
 use crate::column::{csd_mask, schedule_brick_with, ColumnSchedule};
 use crate::config::{Encoding, Fidelity, PraConfig, SyncPolicy};
 use crate::schedule::LayerScheduler;
-use crate::shared::{PipelinedBuild, SharedEncodedNetwork};
+use crate::shared::PipelinedBuild;
 use crate::tile::{column_sync, pallet_sync, PalletOutcome};
 
 /// Simulates one layer on the configured Pragmatic design point.
@@ -58,8 +64,8 @@ pub fn simulate_layer_view_with(
 /// shared) [`LayerScheduler`], optionally reusing precomputed NM/SB
 /// traffic counters. Cycle-for-cycle identical to [`simulate_layer_view`]
 /// when the scheduler was built for `cfg`'s encoding key, scheduler
-/// parameters and the layer's window — [`SharedEncodedNetwork`] enforces
-/// that pairing.
+/// parameters and the layer's window — [`PipelinedBuild::artifacts`]
+/// enforces that pairing.
 pub fn simulate_layer_shared(
     cfg: &PraConfig,
     layer: LayerView<'_>,
@@ -319,65 +325,18 @@ pub fn run(cfg: &PraConfig, workload: &NetworkWorkload) -> RunResult {
     result
 }
 
-/// [`run`] against the build-once artifacts of a [`SharedEncodedNetwork`]:
-/// every layer borrows its shared scheduler (and, when available, the
-/// engine-independent traffic counters) instead of re-encoding and
-/// re-scheduling per design point. Cycle-for-cycle identical to [`run`].
-///
-/// # Panics
-///
-/// Panics if `shared` was built for a different workload shape or does
-/// not cover `cfg` (see [`SharedEncodedNetwork::scheduler`]).
-pub fn run_shared(
-    cfg: &PraConfig,
-    workload: &NetworkWorkload,
-    shared: &SharedEncodedNetwork,
-) -> RunResult {
-    run_shared_streaming(cfg, workload, shared, |_, _| {})
-}
-
-/// [`run_shared`] with a per-layer observer: `on_layer(idx, partial)`
-/// fires the moment layer `idx` finishes simulating, with the run
-/// result accumulated so far — the serving tier's v2 streaming hook
-/// (each call becomes one `layer_result` wire frame). The observer
-/// never changes the result: the returned [`RunResult`] is identical
-/// to [`run_shared`]'s.
-///
-/// # Panics
-///
-/// Panics if `shared` was built for a different workload shape or does
-/// not cover `cfg` (see [`SharedEncodedNetwork::scheduler`]).
-pub fn run_shared_streaming(
-    cfg: &PraConfig,
-    workload: &NetworkWorkload,
-    shared: &SharedEncodedNetwork,
-    mut on_layer: impl FnMut(usize, &RunResult),
-) -> RunResult {
-    assert_eq!(cfg.repr, workload.repr, "configuration representation must match the workload");
-    assert_eq!(
-        shared.layer_count(),
-        workload.layers.len(),
-        "shared artifacts must cover every layer of the workload"
-    );
-    let mut result = RunResult::new(cfg.label());
-    for (idx, layer) in workload.layers.iter().enumerate() {
-        result.layers.push(simulate_layer_shared(
-            cfg,
-            layer.view(),
-            shared.scheduler(idx, cfg),
-            shared.traffic_for(idx, cfg),
-        ));
-        on_layer(idx, &result);
-    }
-    result
-}
-
-/// [`run_shared_streaming`] against a [`PipelinedBuild`] still in
-/// flight: layer `idx` simulates as soon as the builder thread has
-/// encoded it, so encoding of layer *n + 1* overlaps simulation of
-/// layer *n* instead of the build-everything-then-simulate sequence.
-/// Cycle-for-cycle identical to [`run_shared`] over the finished
-/// build — only the schedule moves, never the arithmetic.
+/// [`run`] against the build-once artifacts of a [`PipelinedBuild`] —
+/// the one way shared artifacts are consumed. Every layer borrows its
+/// shared scheduler (and, when available, the engine-independent
+/// traffic counters) instead of re-encoding and re-scheduling per
+/// design point, and simulates as soon as the build has it: against a
+/// build still in flight, layer *n* simulates while the builder thread
+/// encodes layer *n + 1*; against [`PipelinedBuild::finished`] every
+/// layer is already there. `on_layer(idx, partial)` fires the moment
+/// layer `idx` finishes simulating, with the run result accumulated so
+/// far — the serving tier's v2 streaming hook (each call becomes one
+/// `layer_result` wire frame). Neither the schedule nor the observer
+/// changes the result: it is cycle-for-cycle identical to [`run`].
 ///
 /// # Panics
 ///

@@ -10,14 +10,20 @@
 //!  3. racing writers: N threads missing on one key all publish, and
 //!     exactly one valid entry exists afterwards (atomic temp+rename).
 //!
+//! Every build goes through the one builder the sweep and the server
+//! use: `start_pipelined`, every config simulated through
+//! `run_pipelined` while the layers arrive, then `finish`, which
+//! publishes a missed entry.
+//!
 //! The toy workload mirrors `shared.rs`'s unit-test fixture: built from
 //! public types only, deterministic content, real geometry, no
 //! generator run.
 
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
-use pra_core::{run_shared, Fidelity, PraConfig, SharedEncodedNetwork};
+use pra_core::{run_pipelined, Fidelity, PipelinedBuild, PraConfig, SharedEncodedNetwork};
 use pra_fixed::PrecisionWindow;
 use pra_tensor::{ConvLayerSpec, Tensor3};
 use pra_workloads::cache::{ArtifactKind, ArtifactStore, CacheOutcome};
@@ -28,7 +34,7 @@ use pra_workloads::{ActivationModel, LayerWorkload, Network, NetworkWorkload, Re
 /// on both sides of a probe.
 const SEED: u64 = 0xF1D0;
 
-fn toy_workload() -> NetworkWorkload {
+fn toy_workload() -> Arc<NetworkWorkload> {
     let toy_layer = || {
         let spec = ConvLayerSpec::new("toy", (12, 6, 32), (3, 3), 32, 1, 1).unwrap();
         LayerWorkload {
@@ -38,7 +44,7 @@ fn toy_workload() -> NetworkWorkload {
             stripes_precision: 9,
         }
     };
-    NetworkWorkload {
+    Arc::new(NetworkWorkload {
         network: Network::AlexNet,
         repr: Representation::Fixed16,
         model: ActivationModel {
@@ -50,7 +56,7 @@ fn toy_workload() -> NetworkWorkload {
             heavy_share: 0.5,
         },
         layers: vec![toy_layer(), toy_layer()],
-    }
+    })
 }
 
 /// The sweep's standard config trio at one fidelity. Fidelity is the
@@ -93,12 +99,25 @@ fn sole_encoded_entry(dir: &Path) -> PathBuf {
     dir.join(entries[0])
 }
 
-fn run_all(
+/// One build as the sweep runs it: every config simulates against the
+/// in-flight build (warming the memos the entry will carry), the
+/// encoded outcome is read once every layer was consumed, and `finish`
+/// publishes a miss.
+fn build_and_run(
     cfgs: &[PraConfig],
-    workload: &NetworkWorkload,
-    shared: &SharedEncodedNetwork,
-) -> Vec<pra_sim::RunResult> {
-    cfgs.iter().map(|c| run_shared(c, workload, shared)).collect()
+    workload: &Arc<NetworkWorkload>,
+    store: &ArtifactStore,
+) -> (Vec<pra_sim::RunResult>, CacheOutcome) {
+    let build = SharedEncodedNetwork::start_pipelined(cfgs, workload, SEED, store);
+    let results = cfgs.iter().map(|c| run_pipelined(c, workload, &build, |_, _| {})).collect();
+    let outcome = build.encoded_outcome();
+    let _ = build.finish(store);
+    (results, outcome)
+}
+
+/// The same configs over a build that never saw disk.
+fn fresh_results(cfgs: &[PraConfig], workload: &Arc<NetworkWorkload>) -> Vec<pra_sim::RunResult> {
+    build_and_run(cfgs, workload, &ArtifactStore::at_default().no_disk()).0
 }
 
 #[test]
@@ -107,32 +126,37 @@ fn sampled_runs_are_bit_identical_off_a_full_built_entry() {
     let workload = toy_workload();
 
     // Cold Full-fidelity build: miss, simulate (warming the memos the
-    // entry will carry), publish once.
+    // entry will carry), publish once at finish.
     let full = configs(Fidelity::Full);
-    let (built, out) = SharedEncodedNetwork::from_workload_stored(&full, &workload, SEED, &store);
-    assert_eq!(out.encoded, CacheOutcome::Miss, "fresh dir must miss");
-    let _ = run_all(&full, &workload, &built);
-    assert!(built.publish_encoded(&store), "armed miss must publish");
-    assert!(!built.publish_encoded(&store), "second publish must no-op");
+    let (_, out) = build_and_run(&full, &workload, &store);
+    assert_eq!(out, CacheOutcome::Miss, "fresh dir must miss");
     let entry = sole_encoded_entry(&dir);
+    let published = fs::read(&entry).expect("read published entry");
 
     // A Sampled consumer hits the Full-built entry (fidelity is not in
     // the key: Sampled visits a subset of Full's bricks)…
     let sampled = configs(Fidelity::Sampled { max_pallets: 1 });
-    let (warm, out) = SharedEncodedNetwork::from_workload_stored(&sampled, &workload, SEED, &store);
-    assert_eq!(out.encoded, CacheOutcome::Hit, "fidelity must not enter the encoded key");
-    let warm_results = run_all(&sampled, &workload, &warm);
+    let build = SharedEncodedNetwork::start_pipelined(&sampled, &workload, SEED, &store);
+    let warm_results: Vec<_> =
+        sampled.iter().map(|c| run_pipelined(c, &workload, &build, |_, _| {})).collect();
+    assert_eq!(
+        build.encoded_outcome(),
+        CacheOutcome::Hit,
+        "fidelity must not enter the encoded key"
+    );
 
     // …and simulates bit-identically to a build that never saw disk.
-    let fresh = SharedEncodedNetwork::from_workload(&sampled, &workload);
     assert_eq!(
         warm_results,
-        run_all(&sampled, &workload, &fresh),
+        fresh_results(&sampled, &workload),
         "Sampled results must not depend on where the memos came from"
     );
-    // The hit armed nothing, so the entry bytes are exactly as published.
-    assert!(!warm.publish_encoded(&store), "a hit must not re-publish");
-    assert!(entry.is_file(), "the shared entry must survive the warm load");
+    // The hit has nothing to publish: with the entry moved aside,
+    // `finish` writes nothing back.
+    fs::remove_file(&entry).expect("move the entry aside");
+    let _ = build.finish(&store);
+    assert!(dir_files(&dir).is_empty(), "a hit must not re-publish");
+    fs::write(&entry, &published).expect("restore entry");
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -142,11 +166,17 @@ fn corrupt_or_truncated_entries_fall_back_bit_identically() {
     let workload = toy_workload();
     let cfgs = configs(Fidelity::Full);
 
-    let (built, _) = SharedEncodedNetwork::from_workload_stored(&cfgs, &workload, SEED, &store);
-    let clean = run_all(&cfgs, &workload, &built);
-    assert!(built.publish_encoded(&store));
+    let (clean, _) = build_and_run(&cfgs, &workload, &store);
     let entry = sole_encoded_entry(&dir);
     let published = fs::read(&entry).expect("read published entry");
+    // Publication is once-only: the finished network re-entering the
+    // build path writes nothing.
+    fs::remove_file(&entry).expect("remove entry");
+    let network = SharedEncodedNetwork::start_pipelined(&cfgs, &workload, SEED, &store)
+        .finish(&ArtifactStore::at_default().no_disk());
+    let _ = PipelinedBuild::finished(network).finish(&store);
+    assert!(dir_files(&dir).is_empty(), "a finished build must publish nothing");
+    fs::write(&entry, &published).expect("restore entry");
 
     // Flip one payload byte: the checksum trailer must reject the
     // entry, the probe reports a miss, and the rebuild matches clean.
@@ -154,13 +184,11 @@ fn corrupt_or_truncated_entries_fall_back_bit_identically() {
     let mid = flipped.len() / 2;
     flipped[mid] ^= 0x40;
     fs::write(&entry, &flipped).expect("plant corrupted entry");
-    let (rebuilt, out) = SharedEncodedNetwork::from_workload_stored(&cfgs, &workload, SEED, &store);
-    assert_eq!(out.encoded, CacheOutcome::Miss, "a corrupt entry must fail closed");
-    assert_eq!(run_all(&cfgs, &workload, &rebuilt), clean, "rebuild must be bit-identical");
-    // The armed publish replaces the bad entry with the same bytes the
-    // first publish wrote (the encode is deterministic).
-    let _ = run_all(&cfgs, &workload, &rebuilt);
-    assert!(rebuilt.publish_encoded(&store));
+    let (rebuilt, out) = build_and_run(&cfgs, &workload, &store);
+    assert_eq!(out, CacheOutcome::Miss, "a corrupt entry must fail closed");
+    assert_eq!(rebuilt, clean, "rebuild must be bit-identical");
+    // The rebuild's publish replaced the bad entry with the same bytes
+    // the first publish wrote (the encode is deterministic).
     assert_eq!(
         fs::read(sole_encoded_entry(&dir)).expect("read republished entry"),
         published,
@@ -170,9 +198,9 @@ fn corrupt_or_truncated_entries_fall_back_bit_identically() {
     // Truncate to a third: same contract.
     let entry = sole_encoded_entry(&dir);
     fs::write(&entry, &published[..published.len() / 3]).expect("plant truncated entry");
-    let (rebuilt, out) = SharedEncodedNetwork::from_workload_stored(&cfgs, &workload, SEED, &store);
-    assert_eq!(out.encoded, CacheOutcome::Miss, "a truncated entry must fail closed");
-    assert_eq!(run_all(&cfgs, &workload, &rebuilt), clean, "rebuild must be bit-identical");
+    let (rebuilt, out) = build_and_run(&cfgs, &workload, &store);
+    assert_eq!(out, CacheOutcome::Miss, "a truncated entry must fail closed");
+    assert_eq!(rebuilt, clean, "rebuild must be bit-identical");
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -189,10 +217,9 @@ fn racing_writers_publish_exactly_one_valid_entry() {
     std::thread::scope(|scope| {
         for _ in 0..8 {
             scope.spawn(|| {
-                let (built, _) =
-                    SharedEncodedNetwork::from_workload_stored(&cfgs, &workload, SEED, &store);
-                let _ = run_shared(&cfgs[0], &workload, &built);
-                built.publish_encoded(&store);
+                let build = SharedEncodedNetwork::start_pipelined(&cfgs, &workload, SEED, &store);
+                let _ = run_pipelined(&cfgs[0], &workload, &build, |_, _| {});
+                let _ = build.finish(&store);
             });
         }
     });
@@ -206,9 +233,8 @@ fn racing_writers_publish_exactly_one_valid_entry() {
     );
     // …and it is valid: a fresh probe hits and simulates identically to
     // a diskless build.
-    let (warm, out) = SharedEncodedNetwork::from_workload_stored(&cfgs, &workload, SEED, &store);
-    assert_eq!(out.encoded, CacheOutcome::Hit, "the surviving entry must load");
-    let fresh = SharedEncodedNetwork::from_workload(&cfgs, &workload);
-    assert_eq!(run_all(&cfgs, &workload, &warm), run_all(&cfgs, &workload, &fresh));
+    let (warm, out) = build_and_run(&cfgs, &workload, &store);
+    assert_eq!(out, CacheOutcome::Hit, "the surviving entry must load");
+    assert_eq!(warm, fresh_results(&cfgs, &workload));
     let _ = fs::remove_dir_all(&dir);
 }

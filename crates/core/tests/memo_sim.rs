@@ -10,17 +10,20 @@
 //! the same layer are bit-identical.
 //!
 //! The same obligation holds one level up for the cross-config shared
-//! artifacts: [`pra_core::run_shared`] against one
-//! [`SharedEncodedNetwork`] must equal per-config [`pra_core::run`]
+//! artifacts: [`pra_core::run_pipelined`] against one shared build —
+//! in flight or finished — must equal per-config [`pra_core::run`]
 //! result-for-result across the grid of encodings, trim settings, sync
 //! policies and representations the sweep mixes into one job.
 
+use std::sync::Arc;
+
 use pra_core::{
-    run, run_shared, simulate_layer, simulate_layer_raw, Encoding, Fidelity, PraConfig,
-    SharedEncodedNetwork, SyncPolicy,
+    run, run_pipelined, simulate_layer, simulate_layer_raw, Encoding, Fidelity, PipelinedBuild,
+    PraConfig, SharedEncodedNetwork, SyncPolicy,
 };
 use pra_fixed::PrecisionWindow;
 use pra_tensor::{ConvLayerSpec, Tensor3};
+use pra_workloads::cache::ArtifactStore;
 use pra_workloads::{ActivationModel, LayerWorkload, Network, NetworkWorkload, Representation};
 
 /// A layer with a ragged pallet row (out_x = 20) and mixed values.
@@ -166,16 +169,25 @@ fn tiny_workload(repr: Representation) -> NetworkWorkload {
 }
 
 fn assert_shared_equals_per_config(configs: &[PraConfig], w: &NetworkWorkload, what: &str) {
-    let shared = SharedEncodedNetwork::from_workload(configs, w);
-    for cfg in configs {
-        let via_shared = run_shared(cfg, w, &shared);
-        let per_config = run(cfg, w);
-        assert_eq!(
-            via_shared.layers,
-            per_config.layers,
-            "shared != per-config for {} ({what})",
-            cfg.label()
-        );
+    // The in-flight build serves every config as its layers arrive; the
+    // finished network re-enters the same path for a second pass.
+    let w = Arc::new(w.clone());
+    let store = ArtifactStore::at_default().no_disk();
+    let build = SharedEncodedNetwork::start_pipelined(configs, &w, 0, &store);
+    let in_flight: Vec<_> =
+        configs.iter().map(|c| run_pipelined(c, &w, &build, |_, _| {})).collect();
+    let finished = PipelinedBuild::finished(build.finish(&store));
+    for (cfg, via_build) in configs.iter().zip(in_flight) {
+        let via_finished = run_pipelined(cfg, &w, &finished, |_, _| {});
+        let per_config = run(cfg, &w);
+        for (via, form) in [(&via_build, "in flight"), (&via_finished, "finished")] {
+            assert_eq!(
+                via.layers,
+                per_config.layers,
+                "shared ({form}) != per-config for {} ({what})",
+                cfg.label()
+            );
+        }
     }
 }
 

@@ -6,15 +6,25 @@
 //! × seed) plus a set of engine requests over it — exactly the shape of
 //! one sweep job (DESIGN.md §8), so the execution path is the same:
 //! source the workload once (content-addressed cache when enabled, so a
-//! warm service never regenerates), build one
-//! [`SharedEncodedNetwork`] covering the batch's distinct PRA design
-//! points, run each *distinct* engine exactly once, and fan the results
-//! back out to every request. Two requests for the same engine in one
-//! batch cost one simulation — that is the amortization the batching
-//! exists for. Responses depend only on the request's own fields, never
-//! on batch composition or scheduling, which is what makes response
-//! digests byte-identical across worker counts and batch sizes (pinned
-//! by `tests/service_determinism.rs` and the CI `serve-smoke` gate).
+//! warm service never regenerates), run each *distinct* engine exactly
+//! once, and fan the results back out to every request. Two requests
+//! for the same engine in one batch cost one simulation — that is the
+//! amortization the batching exists for. Responses depend only on the
+//! request's own fields, never on batch composition, wire version or
+//! scheduling, which is what makes response digests byte-identical
+//! across worker counts and batch sizes (pinned by
+//! `tests/service_determinism.rs` and the CI `serve-smoke` gate).
+//!
+//! Every batch with a PRA engine, v1 or v2, pool hit or miss, takes one
+//! artifact path: a [`PipelinedBuild`] — the pooled network as
+//! [`PipelinedBuild::finished`], or a build freshly started by
+//! [`SharedEncodedNetwork::start_pipelined`] — that the lead engine
+//! consumes layer by layer through [`run_pipelined`] (streaming
+//! `layer_result` frames when the batch has v2 members). A started
+//! build is finished and pooled right after the lead run; the other
+//! PRA engines run over the finished network. A baselines-only batch
+//! never starts a build: it reuses a pool hit's traffic or runs on the
+//! bare workload.
 //!
 //! Degradation (DESIGN.md §12): every batch member is registered in the
 //! [`InflightRegistry`] before the batch can fail, and a supervisor
@@ -26,7 +36,10 @@
 //! defends: worker panic after registration, simulated slowdown, and
 //! spawn failure.
 //!
-//! [`SharedEncodedNetwork`]: pra_core::SharedEncodedNetwork
+//! [`PipelinedBuild`]: pra_core::PipelinedBuild
+//! [`PipelinedBuild::finished`]: pra_core::PipelinedBuild::finished
+//! [`SharedEncodedNetwork::start_pipelined`]: pra_core::SharedEncodedNetwork::start_pipelined
+//! [`run_pipelined`]: pra_core::run_pipelined
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,10 +48,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use pra_core::{
-    run_pipelined, run_shared, run_shared_streaming, ArtifactPool, PoolOutcome, PraConfig,
-    SharedEncodedNetwork,
-};
+use pra_core::{run_pipelined, ArtifactPool, PipelinedBuild, PraConfig, SharedEncodedNetwork};
 use pra_engines::{dadn, stripes};
 use pra_sim::{ChipConfig, RunResult};
 use pra_workloads::cache::CacheOutcome;
@@ -76,9 +86,11 @@ pub struct ServiceStats {
     /// deadline expired.
     pub deadline_expired: AtomicU64,
     /// Milliseconds of blocking artifact work paid by batch workers:
-    /// workload sourcing, shared-artifact build or decode, and entry
-    /// publication. A warm disk store collapses this to decode time —
-    /// the CI `warm-start-smoke` gate pins that collapse.
+    /// workload sourcing, starting the pipelined build, and finishing
+    /// it (joining the builder, publishing missed entries). The encode
+    /// or decode that overlaps the lead simulation is not counted. A
+    /// warm disk store collapses this to workload loading — the CI
+    /// `warm-start-smoke` gate pins that collapse.
     pub encode_ms: AtomicU64,
     /// Batches whose shared encoded artifacts loaded from the store's
     /// disk tier instead of being rebuilt from the workload.
@@ -525,115 +537,85 @@ fn run_batch(
     // the [`ArtifactPool`] — per *run of batches*: the pool is always
     // keyed on the full standard design-point set, so the first batch
     // of a workload builds artifacts every later batch reuses whatever
-    // engine mix it carries. The tiered [`ArtifactStore`] backs the
-    // first build (workload *and* encoded artifacts, so a warm boot
-    // deserializes instead of re-encoding); baselines-only batches
-    // never pay for an encode — they probe the pool and fall back to
-    // the bare workload.
+    // engine mix it carries. Every PRA batch, v1 or v2, pool hit or
+    // miss, takes the same path: a hit is a build that already
+    // finished, a miss starts the pipelined build (backed by the tiered
+    // [`ArtifactStore`], so a warm boot streams artifacts off disk
+    // instead of re-encoding). Baselines-only batches never start a
+    // build — they take a pool hit's traffic or the bare workload.
     //
     // [`ArtifactStore`]: pra_workloads::cache::ArtifactStore
     let std_cfgs: Vec<PraConfig> = pra_bench::sweep::pra_configs(key.repr, cfg.fidelity);
-    let any_pra = engines.iter().any(|(_, e)| matches!(e, Engine::Pra(_)));
-    // Any v2 member turns on streaming for the batch: the lead engine's
-    // per-layer progress fans out as `layer_result` frames to exactly
-    // the still-in-flight v2 members (the registry's `stream` flag
-    // keeps v1 channels byte-identical to the old wire).
-    let has_streamers = batch.requests.iter().any(|p| p.req.v == 2);
-    let mut frames_sent: BTreeMap<u64, usize> = BTreeMap::new();
     // The lead engine is the batch's first PRA design point: its run is
-    // the one that overlaps the pipelined artifact build and drives the
-    // frame stream.
-    let lead: Option<(String, PraConfig)> = engines.iter().find_map(|(l, e)| match e {
-        Engine::Pra(c) => Some((l.clone(), *c)),
+    // the one that overlaps a pipelined build and drives the frame
+    // stream.
+    let lead: Option<(&str, PraConfig)> = engines.iter().find_map(|(l, e)| match e {
+        Engine::Pra(c) => Some((l.as_str(), *c)),
         _ => None,
     });
-    let streaming_lead = if has_streamers { lead } else { None };
     // Blocking artifact work (everything that is not simulation) is
     // accumulated into `encode_ms`; the overlapped portion of a
     // pipelined build is deliberately excluded — it costs no latency.
     let ms_since = |t: Instant| t.elapsed().as_millis() as u64;
-    let mut build_ms: u64 = 0;
-    let mut encoded_hit = false;
-    let (workload, shared, lead_run) = if let Some((lead_label, lead_cfg)) = streaming_lead {
-        // Streaming batches break the strict build-then-simulate
-        // sequence on a pool miss: layer n+1 encodes on the pipeline
-        // thread while layer n simulates here, and every finished layer
-        // becomes a frame immediately.
-        match pool.lookup(&std_cfgs, key.network, key.repr, key.seed) {
-            Some((workload, shared)) => {
-                // relaxed-ok: monotonic stat counter; nothing
-                // synchronizes through it.
-                stats.pool_hits.fetch_add(1, Ordering::Relaxed);
-                let layers = workload.layers.len();
-                let r = run_shared_streaming(&lead_cfg, &workload, &shared, |idx, partial| {
-                    emit_frames(registry, slot, cfg, &mut frames_sent, idx, layers, partial);
-                });
-                (workload, Some(shared), Some((lead_label, r)))
-            }
-            None => {
-                let t = Instant::now();
-                let (workload, _) = cfg.store.workload(key.network, key.repr, key.seed);
-                let workload = Arc::new(workload);
-                let build = SharedEncodedNetwork::start_pipelined(
-                    &std_cfgs, &workload, key.seed, &cfg.store,
-                );
-                build_ms += ms_since(t);
-                let layers = workload.layers.len();
-                let r = run_pipelined(&lead_cfg, &workload, &build, |idx, partial| {
-                    emit_frames(registry, slot, cfg, &mut frames_sent, idx, layers, partial);
-                });
-                // The encoded probe rides the builder thread and
-                // settles with the final layer — which the lead sim
-                // just consumed, so this read is authoritative.
-                encoded_hit = matches!(build.encoded_outcome(), CacheOutcome::Hit);
-                // `finish` also publishes a missed encoded entry — by
-                // now the lead sim warmed its memos in place.
-                let t = Instant::now();
-                let shared = Arc::new(build.finish(&cfg.store));
-                build_ms += ms_since(t);
-                pool.insert(
-                    key.network,
-                    key.repr,
-                    key.seed,
-                    &std_cfgs,
-                    Arc::clone(&workload),
-                    Arc::clone(&shared),
-                );
-                (workload, Some(shared), Some((lead_label, r)))
-            }
+    let t = Instant::now();
+    let (workload, build, pooled) = match pool.lookup(&std_cfgs, key.network, key.repr, key.seed) {
+        Some((workload, shared)) => {
+            // relaxed-ok: monotonic stat counter; nothing synchronizes
+            // through it.
+            stats.pool_hits.fetch_add(1, Ordering::Relaxed);
+            (workload, Some(PipelinedBuild::finished(shared)), true)
         }
-    } else if any_pra {
-        let t = Instant::now();
-        let (workload, shared, outcome) =
-            pool.get_or_build(&std_cfgs, key.network, key.repr, key.seed, &cfg.store);
-        build_ms += ms_since(t);
-        match outcome {
-            PoolOutcome::Pooled => {
-                // relaxed-ok: monotonic stat counter; nothing
-                // synchronizes through it.
-                stats.pool_hits.fetch_add(1, Ordering::Relaxed);
-            }
-            PoolOutcome::Built(out) => {
-                encoded_hit = matches!(out.encoded, CacheOutcome::Hit);
-            }
-        }
-        (workload, Some(shared), None)
-    } else {
-        match pool.lookup(&std_cfgs, key.network, key.repr, key.seed) {
-            Some((workload, shared)) => {
-                // relaxed-ok: monotonic stat counter; nothing
-                // synchronizes through it.
-                stats.pool_hits.fetch_add(1, Ordering::Relaxed);
-                (workload, Some(shared), None)
-            }
-            None => {
-                let t = Instant::now();
-                let (workload, _) = cfg.store.workload(key.network, key.repr, key.seed);
-                build_ms += ms_since(t);
-                (Arc::new(workload), None, None)
-            }
+        None => {
+            let (workload, _) = cfg.store.workload(key.network, key.repr, key.seed);
+            let workload = Arc::new(workload);
+            let build = lead.map(|_| {
+                SharedEncodedNetwork::start_pipelined(&std_cfgs, &workload, key.seed, &cfg.store)
+            });
+            (workload, build, false)
         }
     };
+    let mut build_ms = ms_since(t);
+
+    // Any v2 member turns on streaming for the batch: the lead engine's
+    // per-layer progress fans out as `layer_result` frames to exactly
+    // the still-in-flight v2 members (the registry's `stream` flag
+    // keeps v1 channels byte-identical to the old wire). A v1-only
+    // batch never touches the registry here: `on_frame` would extend
+    // every member's deadline.
+    let has_streamers = batch.requests.iter().any(|p| p.req.v == 2);
+    let mut frames_sent: BTreeMap<u64, usize> = BTreeMap::new();
+    let layers = workload.layers.len();
+    let lead_run: Option<(&str, RunResult)> = lead.zip(build.as_ref()).map(|((label, c), b)| {
+        let r = run_pipelined(&c, &workload, b, |idx, partial| {
+            if has_streamers {
+                emit_frames(registry, slot, cfg, &mut frames_sent, idx, layers, partial);
+            }
+        });
+        (label, r)
+    });
+    // The encoded probe rides the builder thread and settles with the
+    // final layer — which the lead sim just consumed, so this read is
+    // authoritative (a pool hit reports `Disabled`).
+    let encoded_hit = build.as_ref().is_some_and(|b| b.encoded_outcome() == CacheOutcome::Hit);
+    // `finish` publishes a missed encoded entry — by now the lead sim
+    // warmed its memos in place — and the network joins the pool right
+    // away, so the next batch over this workload is a hit.
+    let shared = build.map(|b| {
+        let t = Instant::now();
+        let shared = b.finish(&cfg.store);
+        build_ms += ms_since(t);
+        if !pooled {
+            pool.insert(
+                key.network,
+                key.repr,
+                key.seed,
+                &std_cfgs,
+                Arc::clone(&workload),
+                Arc::clone(&shared),
+            );
+        }
+        shared
+    });
     // relaxed-ok: monotonic stat counters; nothing synchronizes
     // through them.
     stats.encode_ms.fetch_add(build_ms, Ordering::Relaxed);
@@ -662,45 +644,24 @@ fn run_batch(
         }
     }
 
+    // The other PRA engines run over the finished artifacts.
+    let done = shared.as_ref().map(|s| PipelinedBuild::finished(Arc::clone(s)));
+    let totals = |r: &RunResult| (r.total_cycles(), r.total_terms(), r.speedup_over(&base));
     let mut results: BTreeMap<&str, (u64, u64, f64)> = BTreeMap::new();
     for (label, engine) in &engines {
-        let (cycles, terms, speedup) = match engine {
+        let answer = match engine {
             Engine::DaDn => (base.total_cycles(), base.total_terms(), 1.0),
-            Engine::Stripes => {
-                let r = stripes::run_views(&chip, &views, key.repr, traffic);
-                (r.total_cycles(), r.total_terms(), r.speedup_over(&base))
-            }
-            // `shared` is always built when any PRA engine resolved; a
-            // None here (impossible by construction) falls through to the
-            // per-request unknown-engine error below instead of panicking
-            // the worker.
-            Engine::Pra(pra_cfg) => match &lead_run {
-                // The streaming lead already simulated while artifacts
-                // were still building; reuse its result.
-                Some((lead_label, r)) if lead_label == label => {
-                    (r.total_cycles(), r.total_terms(), r.speedup_over(&base))
-                }
-                _ => match shared.as_deref() {
-                    Some(s) => {
-                        let r = run_shared(pra_cfg, &workload, s);
-                        (r.total_cycles(), r.total_terms(), r.speedup_over(&base))
-                    }
-                    None => continue,
-                },
+            Engine::Stripes => totals(&stripes::run_views(&chip, &views, key.repr, traffic)),
+            Engine::Pra(pra_cfg) => match (&lead_run, &done) {
+                (Some((lead_label, r)), _) if lead_label == label => totals(r),
+                (_, Some(done)) => totals(&run_pipelined(pra_cfg, &workload, done, |_, _| {})),
+                // Unreachable: a resolved PRA engine always has a build.
+                // Falling through to the per-request unknown-engine
+                // error below beats panicking the worker.
+                (_, None) => continue,
             },
         };
-        results.insert(label.as_str(), (cycles, terms, speedup));
-    }
-
-    // Publish a missed encoded entry now that the batch's sims warmed
-    // the schedule memos (no-op on a streaming build — `finish` already
-    // published — and on pool hits or warm loads, which armed nothing).
-    if let Some(s) = shared.as_deref() {
-        let t = Instant::now();
-        s.publish_encoded(&cfg.store);
-        // relaxed-ok: monotonic stat counter; nothing synchronizes
-        // through it.
-        stats.encode_ms.fetch_add(ms_since(t), Ordering::Relaxed);
+        results.insert(label.as_str(), answer);
     }
 
     let batch_size = batch.requests.len();
@@ -801,6 +762,7 @@ fn finish_slot(registry: &InflightRegistry, slot: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queue::{BatchKey, Pending};
     use pra_core::Fidelity;
     use pra_workloads::{Network, Representation};
 
@@ -883,6 +845,101 @@ mod tests {
         svc.shutdown();
     }
 
+    /// Runs `reqs` as one sealed batch on slot 0 of a hand-built worker
+    /// context and returns every response each request received, in
+    /// arrival order (`run_batch` answers before it returns).
+    fn run_one_batch(
+        cfg: &ServeConfig,
+        stats: &ServiceStats,
+        pool: &ArtifactPool,
+        registry: &InflightRegistry,
+        reqs: Vec<Request>,
+    ) -> Vec<Vec<Response>> {
+        let now = Instant::now();
+        let key = BatchKey::of(&reqs[0]);
+        let mut rxs = Vec::new();
+        let requests = reqs
+            .into_iter()
+            .map(|req| {
+                let (tx, rx) = channel();
+                rxs.push(rx);
+                Pending { key: BatchKey::of(&req), req, tx, submitted: now, joined: Some(now) }
+            })
+            .collect();
+        run_batch(cfg, stats, pool, registry, 0, Batch { key, requests, sealed: now });
+        rxs.into_iter().map(|rx| rx.try_iter().collect()).collect()
+    }
+
+    fn alexnet_layers() -> usize {
+        Network::AlexNet.conv_layers().len()
+    }
+
+    #[test]
+    fn v1_only_batches_never_fan_out_frames() {
+        // A deadline is set: a frame fan-out would extend every
+        // member's deadline, turning v1's total-latency bound into an
+        // inactivity bound.
+        let mut cfg = fast_cfg(1, 8);
+        cfg.deadline = Some(Duration::from_secs(600));
+        let (stats, pool, registry) =
+            (ServiceStats::default(), ArtifactPool::new(4), InflightRegistry::new(1));
+        for round in ["pool miss", "pool hit"] {
+            let out = run_one_batch(
+                &cfg,
+                &stats,
+                &pool,
+                &registry,
+                vec![req(1, "PRA-2b"), req(2, "PRA-4b"), req(3, "DaDN")],
+            );
+            for answers in &out {
+                assert!(
+                    matches!(answers.as_slice(), [Response::Ok { .. }]),
+                    "{round}: {answers:?}"
+                );
+            }
+            assert_eq!(registry.frame_calls(0), 0, "{round}: a v1-only batch fans out no frames");
+        }
+        assert_eq!(stats.pool_hits.load(Ordering::Relaxed), 1);
+        // One v2 member turns on the fan-out: one call per layer, while
+        // the v1 member of the same batch still gets one bare answer.
+        let mut streaming = req(4, "PRA-2b");
+        streaming.v = 2;
+        let out =
+            run_one_batch(&cfg, &stats, &pool, &registry, vec![streaming, req(5, "PRA-2b-1R")]);
+        assert_eq!(registry.frame_calls(0), alexnet_layers());
+        assert_eq!(out[0].len(), alexnet_layers() + 1, "one frame per layer, then done");
+        assert!(
+            matches!(out[0].last(), Some(Response::Done { frames, .. }) if *frames == alexnet_layers())
+        );
+        assert!(matches!(out[1].as_slice(), [Response::Ok { .. }]));
+    }
+
+    #[test]
+    fn baselines_only_batches_never_start_a_build() {
+        let dir = std::env::temp_dir().join(format!("pra-serve-baselines-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut cfg = fast_cfg(1, 8);
+        cfg.store = pra_workloads::cache::ArtifactStore::new(&dir)
+            .tier(pra_workloads::cache::ArtifactKind::Encoded)
+            .tier(pra_workloads::cache::ArtifactKind::Traffic);
+        let (stats, pool, registry) =
+            (ServiceStats::default(), ArtifactPool::new(4), InflightRegistry::new(1));
+        let entries = || std::fs::read_dir(&dir).map_or(0, |rd| rd.count());
+        let out =
+            run_one_batch(&cfg, &stats, &pool, &registry, vec![req(1, "DaDN"), req(2, "Stripes")]);
+        assert!(out.iter().all(|a| matches!(a.as_slice(), [Response::Ok { .. }])));
+        assert!(pool.is_empty(), "a baselines-only batch pools nothing");
+        assert_eq!(entries(), 0, "a started build would have published at finish");
+        // A PRA batch builds, publishes and pools; a baselines-only
+        // batch after it reuses the pooled traffic.
+        let _ = run_one_batch(&cfg, &stats, &pool, &registry, vec![req(3, "PRA-2b")]);
+        assert_eq!(pool.len(), 1);
+        assert!(entries() > 0, "the PRA batch's build published its entries");
+        let _ = run_one_batch(&cfg, &stats, &pool, &registry, vec![req(4, "Stripes")]);
+        assert_eq!(stats.pool_hits.load(Ordering::Relaxed), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn v2_requests_stream_layer_frames_then_done() {
         let svc = SimService::start(fast_cfg(1, 2));
@@ -904,7 +961,7 @@ mod tests {
                 Response::Done { id, frames: reported, inner } => {
                     assert_eq!(id, 5);
                     assert_eq!(reported, frames, "done frame counts the frames sent");
-                    assert!(frames > 0, "a streaming run must emit layer frames");
+                    assert_eq!(frames, alexnet_layers(), "one frame per conv layer");
                     match *inner {
                         Response::Ok { id, cycles, digest, .. } => {
                             assert_eq!(id, 5);
@@ -927,6 +984,19 @@ mod tests {
             }
             other => panic!("expected ok, got {other:?}"),
         }
+        // A pool hit streams exactly as the miss did.
+        let mut streaming = req(7, "PRA-2b");
+        streaming.v = 2;
+        let responses: Vec<Response> = svc.call(streaming).unwrap().iter().collect();
+        assert_eq!(responses.len(), alexnet_layers() + 1, "one frame per layer, then done");
+        match responses.last() {
+            Some(Response::Done { frames, inner, .. }) => {
+                assert_eq!(*frames, alexnet_layers());
+                assert!(matches!(&**inner, Response::Ok { digest, .. } if *digest == v2_digest));
+            }
+            other => panic!("expected done, got {other:?}"),
+        }
+        assert_eq!(svc.stats().pool_hits.load(Ordering::Relaxed), 2);
         svc.shutdown();
     }
 
@@ -946,7 +1016,7 @@ mod tests {
                 Response::Done { id, frames: reported, inner } => {
                     assert_eq!(id, 7);
                     assert_eq!(reported, frames);
-                    assert!(frames > 0, "baseline batches still stream per-layer frames");
+                    assert_eq!(frames, alexnet_layers(), "baseline batches stream per layer too");
                     assert!(matches!(*inner, Response::Ok { .. }));
                     break;
                 }

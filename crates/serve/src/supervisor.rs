@@ -49,6 +49,10 @@ struct Slot {
     entries: Vec<InflightEntry>,
     workload: Option<WorkloadId>,
     registered: Option<Instant>,
+    /// [`InflightRegistry::on_frame`] calls made for this slot, so
+    /// tests can pin that v1-only batches make none.
+    #[cfg(test)]
+    frame_calls: usize,
 }
 
 /// The in-flight table: one slot per worker, each holding the requests
@@ -140,6 +144,10 @@ impl InflightRegistry {
     pub fn on_frame(&self, slot: usize, extend: Option<Duration>) -> Vec<(u64, Sender<Response>)> {
         let mut slots = self.lock();
         let Some(s) = slots.get_mut(slot) else { return Vec::new() };
+        #[cfg(test)]
+        {
+            s.frame_calls += 1;
+        }
         if let Some(d) = extend {
             let pushed = Instant::now() + d;
             for e in s.entries.iter_mut() {
@@ -207,6 +215,12 @@ impl InflightRegistry {
             return None;
         }
         s.registered.map(|r| now.saturating_duration_since(r))
+    }
+
+    /// How many times [`InflightRegistry::on_frame`] ran for `slot`.
+    #[cfg(test)]
+    pub(crate) fn frame_calls(&self, slot: usize) -> usize {
+        self.lock().get(slot).map_or(0, |s| s.frame_calls)
     }
 
     /// Total still-owed answers across every slot.

@@ -606,7 +606,7 @@ impl Cache {
         let payload_start = HEADER_FIXED + h.kind_len + 8;
         let payload_len = usize::try_from(h.payload_len).ok()?;
         let checksum_start = payload_start.checked_add(payload_len)?;
-        if bytes.len() != checksum_start + 8 {
+        if bytes.len() != checksum_start.checked_add(8)? {
             return None;
         }
         let expect = u64::from_le_bytes(bytes[checksum_start..].try_into().ok()?);
@@ -1264,6 +1264,33 @@ mod tests {
         ] {
             assert_eq!(parse_entry_name(&bad), None, "{bad} must not match");
         }
+    }
+
+    #[test]
+    fn overflowing_payload_length_is_a_miss_not_a_panic() {
+        let dir = std::env::temp_dir().join(format!("pra-cache-overflow-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let cache = Cache::new(&dir);
+        let key = KeyHasher::new("overflow").finish();
+        // A well-formed header whose payload length puts the checksum
+        // start within 8 bytes of `usize::MAX`.
+        let kind = "en";
+        let payload_start = HEADER_FIXED + kind.len() + 8;
+        let payload_len = (usize::MAX - payload_start - 3) as u64;
+        let mut entry = Vec::new();
+        entry.extend_from_slice(ENTRY_MAGIC);
+        entry.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        entry.extend_from_slice(&1u32.to_le_bytes());
+        entry.push(kind.len() as u8);
+        entry.extend_from_slice(kind.as_bytes());
+        entry.extend_from_slice(&payload_len.to_le_bytes());
+        entry.extend_from_slice(&[0u8; 16]);
+        let path = cache.entry_path(kind, &key);
+        fs::write(&path, &entry).unwrap();
+        assert_eq!(cache.load(kind, 1, &key), None, "an impossible length must fail closed");
+        assert!(!path.exists(), "the bad entry must be removed");
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
