@@ -5,7 +5,7 @@
 //! quantifies what the encoding would buy on the calibrated workloads —
 //! the natural extension the paper's conclusion hints at.
 
-use pra_bench::{build_workloads, fidelity, pct, per_network, times, Table};
+use pra_bench::{build_workloads, fidelity, pct, per_network, run_pra, times, Table};
 use pra_core::{Encoding, PraConfig};
 use pra_engines::{dadn, potential};
 use pra_sim::{geomean, ChipConfig};
@@ -19,8 +19,8 @@ fn main() {
         let base = dadn::run(&chip, w);
         let one = PraConfig::two_stage(2, Representation::Fixed16).with_fidelity(fidelity());
         let csd = PraConfig { encoding: Encoding::Csd, ..one };
-        let s_one = pra_core::run(&one, w).speedup_over(&base);
-        let s_csd = pra_core::run(&csd, w).speedup_over(&base);
+        let runs = run_pra(&[one, csd], w);
+        let (s_one, s_csd) = (runs[0].speedup_over(&base), runs[1].speedup_over(&base));
         let t = potential::network_terms(w);
         let n = t.normalized();
         (s_one, s_csd, n.pra_red, n.pra_csd)

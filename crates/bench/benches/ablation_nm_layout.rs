@@ -5,7 +5,7 @@
 //! dispatcher stall cycles PRA-2b would suffer with a naive row-major
 //! layout instead.
 
-use pra_bench::{build_workloads, fidelity, per_network, times, Table};
+use pra_bench::{build_workloads, fidelity, per_network, run_pra, times, Table};
 use pra_core::PraConfig;
 use pra_engines::dadn;
 use pra_sim::{geomean, ChipConfig, NmLayout};
@@ -20,8 +20,8 @@ fn main() {
         let pallet_major =
             PraConfig::two_stage(2, Representation::Fixed16).with_fidelity(fidelity());
         let row_major = PraConfig { nm_layout: NmLayout::RowMajor, ..pallet_major };
-        let r_pm = pra_core::run(&pallet_major, w);
-        let r_rm = pra_core::run(&row_major, w);
+        let runs = run_pra(&[pallet_major, row_major], w);
+        let (r_pm, r_rm) = (&runs[0], &runs[1]);
         (
             r_pm.speedup_over(&base),
             r_rm.speedup_over(&base),

@@ -5,7 +5,7 @@
 //! same hardware mirrored; this bench measures whether the choice matters
 //! once lanes stall against each other at small L.
 
-use pra_bench::{build_workloads, fidelity, per_network, times, Table};
+use pra_bench::{build_workloads, fidelity, per_network, run_pra, times, Table};
 use pra_core::{PraConfig, ScanOrder};
 use pra_engines::dadn;
 use pra_sim::{geomean, ChipConfig};
@@ -15,20 +15,18 @@ fn main() {
     let chip = ChipConfig::dadn();
     let workloads = build_workloads(Representation::Fixed16);
 
-    let ls = [0u8, 1, 2];
+    let mut configs = Vec::new();
+    for l in [0u8, 1, 2] {
+        for order in [ScanOrder::LsbFirst, ScanOrder::MsbFirst] {
+            configs.push(PraConfig {
+                scan_order: order,
+                ..PraConfig::two_stage(l, Representation::Fixed16).with_fidelity(fidelity())
+            });
+        }
+    }
     let rows = per_network(&workloads, |w| {
         let base = dadn::run(&chip, w);
-        let mut out = Vec::new();
-        for &l in &ls {
-            for order in [ScanOrder::LsbFirst, ScanOrder::MsbFirst] {
-                let cfg = PraConfig {
-                    scan_order: order,
-                    ..PraConfig::two_stage(l, Representation::Fixed16).with_fidelity(fidelity())
-                };
-                out.push(pra_core::run(&cfg, w).speedup_over(&base));
-            }
-        }
-        out
+        run_pra(&configs, w).iter().map(|r| r.speedup_over(&base)).collect::<Vec<_>>()
     });
 
     let mut table =

@@ -4,7 +4,7 @@
 //! designs in the Stripes/Pragmatic line took it); the question is whether
 //! the extra datapath pays for itself in performance per area.
 
-use pra_bench::{build_workloads, fidelity, per_network, times, Table};
+use pra_bench::{build_workloads, fidelity, per_network, run_pra, times, Table};
 use pra_core::PraConfig;
 use pra_energy::chip::{chip_area_mm2, chip_power_w};
 use pra_energy::unit::Design;
@@ -20,7 +20,8 @@ fn main() {
         let base = dadn::run(&chip, w);
         let x1 = PraConfig::two_stage(2, Representation::Fixed16).with_fidelity(fidelity());
         let x2 = PraConfig { oneffsets_per_cycle: 2, ..x1 };
-        (pra_core::run(&x1, w).speedup_over(&base), pra_core::run(&x2, w).speedup_over(&base))
+        let runs = run_pra(&[x1, x2], w);
+        (runs[0].speedup_over(&base), runs[1].speedup_over(&base))
     });
 
     let mut table = Table::new(["network", "PRA-2b (x1)", "PRA-2b-x2"]);

@@ -3,7 +3,7 @@
 //! (1, 4, 16) plus the ideal unbounded case. Paper: one SSR already
 //! boosts PRA-2b from 2.59x to 3.1x on average, close to the 3.45x ideal.
 
-use pra_bench::{build_workloads, fidelity, per_network, times, vs, Table};
+use pra_bench::{build_workloads, fidelity, per_network, run_pra, times, vs, Table};
 use pra_core::{PraConfig, SyncPolicy};
 use pra_engines::{dadn, stripes};
 use pra_sim::{geomean, ChipConfig};
@@ -29,9 +29,7 @@ fn main() {
     let rows = per_network(&workloads, |w| {
         let base = dadn::run(&chip, w);
         let mut speedups = vec![stripes::run(&chip, w).speedup_over(&base)];
-        for cfg in &configs {
-            speedups.push(pra_core::run(cfg, w).speedup_over(&base));
-        }
+        speedups.extend(run_pra(&configs, w).iter().map(|r| r.speedup_over(&base)));
         speedups
     });
 

@@ -2,7 +2,7 @@
 //! PRA-2b and PRA-2b-1R. Paper geo means: STR 1.16, PRA-4b 0.95 (the
 //! single-stage datapath burns its speedup), PRA-2b 1.28, PRA-2b-1R 1.48.
 
-use pra_bench::{build_workloads, fidelity, per_network, times, vs, Table};
+use pra_bench::{build_workloads, fidelity, per_network, run_pra, times, vs, Table};
 use pra_core::PraConfig;
 use pra_energy::efficiency::{efficiency, EnergyReport};
 use pra_energy::unit::Design;
@@ -33,9 +33,10 @@ fn main() {
         let base = EnergyReport::new(Design::Dadn, dadn::run(&chip, w).total_cycles());
         let str_rep = EnergyReport::new(Design::Stripes, stripes::run(&chip, w).total_cycles());
         let mut effs = vec![efficiency(&base, &str_rep)];
-        for (cfg, design) in &configs {
-            let cycles = pra_core::run(&cfg.with_fidelity(fidelity()), w).total_cycles();
-            effs.push(efficiency(&base, &EnergyReport::new(*design, cycles)));
+        let pra: Vec<PraConfig> =
+            configs.iter().map(|(c, _)| c.with_fidelity(fidelity())).collect();
+        for (run, (_, design)) in run_pra(&pra, w).iter().zip(&configs) {
+            effs.push(efficiency(&base, &EnergyReport::new(*design, run.total_cycles())));
         }
         effs
     });

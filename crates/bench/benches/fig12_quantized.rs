@@ -3,7 +3,7 @@
 //! PRA-2b with one SSR, and the per-column ideal. Paper: PRA's benefits
 //! persist under quantization, nearly 3.5x for PRA-2b-1R.
 
-use pra_bench::{build_workloads, fidelity, per_network, times, vs, Table};
+use pra_bench::{build_workloads, fidelity, per_network, run_pra, times, vs, Table};
 use pra_core::{PraConfig, SyncPolicy};
 use pra_engines::{dadn, stripes};
 use pra_sim::{geomean, ChipConfig};
@@ -31,9 +31,7 @@ fn main() {
     let rows = per_network(&workloads, |w| {
         let base = dadn::run(&chip, w);
         let mut speedups = vec![stripes::run(&chip, w).speedup_over(&base)];
-        for cfg in &configs {
-            speedups.push(pra_core::run(cfg, w).speedup_over(&base));
-        }
+        speedups.extend(run_pra(&configs, w).iter().map(|r| r.speedup_over(&base)));
         speedups
     });
 

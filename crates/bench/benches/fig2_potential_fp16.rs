@@ -11,7 +11,7 @@ use pra_workloads::Representation;
 
 fn main() {
     let workloads = build_workloads(Representation::Fixed16);
-    let terms = per_network(&workloads, potential::network_terms);
+    let terms = per_network(&workloads, |w| potential::network_terms(w));
 
     let paper = [
         // Read off Fig. 2 bars per network: (zn, cvn, stripes, pra, pra_red).

@@ -11,7 +11,7 @@ use pra_workloads::Representation;
 
 fn main() {
     let workloads = build_workloads(Representation::Quant8);
-    let terms = per_network(&workloads, potential::network_terms);
+    let terms = per_network(&workloads, |w| potential::network_terms(w));
 
     let mut table = Table::new(["network", "ZN", "PRA"]);
     let (mut zs, mut ps) = (vec![], vec![]);

@@ -4,7 +4,7 @@
 //! (4-bit) 2.59x, with the 2-/3-bit variants within 0.2% of single-stage
 //! and 0-bit still 20% ahead of Stripes.
 
-use pra_bench::{build_workloads, fidelity, per_network, times, vs, Table};
+use pra_bench::{build_workloads, fidelity, per_network, run_pra, times, vs, Table};
 use pra_core::PraConfig;
 use pra_engines::{dadn, stripes};
 use pra_sim::{geomean, ChipConfig};
@@ -14,13 +14,13 @@ fn main() {
     let chip = ChipConfig::dadn();
     let workloads = build_workloads(Representation::Fixed16);
 
+    let configs: Vec<PraConfig> = (0..=4u8)
+        .map(|l| PraConfig::two_stage(l, Representation::Fixed16).with_fidelity(fidelity()))
+        .collect();
     let rows = per_network(&workloads, |w| {
         let base = dadn::run(&chip, w);
         let mut speedups = vec![stripes::run(&chip, w).speedup_over(&base)];
-        for l in 0..=4u8 {
-            let cfg = PraConfig::two_stage(l, Representation::Fixed16).with_fidelity(fidelity());
-            speedups.push(pra_core::run(&cfg, w).speedup_over(&base));
-        }
+        speedups.extend(run_pra(&configs, w).iter().map(|r| r.speedup_over(&base)));
         speedups
     });
 

@@ -133,7 +133,7 @@ fn bench_layers(c: &mut Criterion) {
     c.bench_function("pra2b_simulate_layer_raw_32x32x64", |b| {
         b.iter_batched(
             || layer.clone(),
-            |l| black_box(pra_core::simulate_layer_raw(black_box(&cfg), &l)),
+            |l| black_box(pra_core::sim::simulate_layer_raw(black_box(&cfg), &l)),
             BatchSize::LargeInput,
         )
     });

@@ -1,7 +1,7 @@
 //! Table V — share of PRA-2b-1R's performance due to the software-provided
 //! per-layer precisions (§V-F trimming), per network. Paper average: 19%.
 
-use pra_bench::{build_workloads, fidelity, pct, per_network, times, vs, Table};
+use pra_bench::{build_workloads, fidelity, pct, per_network, run_pra, times, vs, Table};
 use pra_core::PraConfig;
 use pra_engines::dadn;
 use pra_sim::ChipConfig;
@@ -14,9 +14,8 @@ fn main() {
     let rows = per_network(&workloads, |w| {
         let base = dadn::run(&chip, w);
         let cfg = PraConfig::per_column(1, Representation::Fixed16).with_fidelity(fidelity());
-        let with_trim = pra_core::run(&cfg, w).speedup_over(&base);
-        let without = pra_core::run(&cfg.with_trim(false), w).speedup_over(&base);
-        (with_trim, without)
+        let runs = run_pra(&[cfg, cfg.with_trim(false)], w);
+        (runs[0].speedup_over(&base), runs[1].speedup_over(&base))
     });
 
     let mut table = Table::new(["network", "with precisions", "without", "benefit"]);

@@ -14,8 +14,11 @@ pub mod report;
 pub mod sweep;
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 
-use pra_core::Fidelity;
+use pra_core::{Fidelity, PraConfig, SharedEncodedNetwork};
+use pra_sim::RunResult;
+use pra_workloads::cache::ArtifactStore;
 use pra_workloads::{Network, NetworkWorkload, Representation};
 use rayon::prelude::*;
 
@@ -38,17 +41,30 @@ pub fn fidelity() -> Fidelity {
 
 /// Builds the workloads for all six networks on the rayon pool (each
 /// build additionally fans its row-generation jobs out, so small
-/// networks do not serialize behind VGG-19).
-pub fn build_workloads(repr: Representation) -> Vec<NetworkWorkload> {
-    Network::ALL.par_iter().map(|&net| NetworkWorkload::build(net, repr, SEED)).collect()
+/// networks do not serialize behind VGG-19), shared so a
+/// [`SharedEncodedNetwork`] build can hold them.
+pub fn build_workloads(repr: Representation) -> Vec<Arc<NetworkWorkload>> {
+    Network::ALL.par_iter().map(|&net| Arc::new(NetworkWorkload::build(net, repr, SEED))).collect()
 }
 
 /// Runs `f` once per network workload, in parallel, preserving order.
 pub fn per_network<R: Send>(
-    workloads: &[NetworkWorkload],
-    f: impl Fn(&NetworkWorkload) -> R + Sync,
+    workloads: &[Arc<NetworkWorkload>],
+    f: impl Fn(&Arc<NetworkWorkload>) -> R + Sync,
 ) -> Vec<R> {
     workloads.par_iter().map(&f).collect()
+}
+
+/// Simulates every design point of `configs` on `workload`, in order,
+/// against one diskless shared build — the sweep's reuse (§VI-A: every
+/// design sees the same neuron streams), without touching the artifact
+/// store.
+pub fn run_pra(configs: &[PraConfig], workload: &Arc<NetworkWorkload>) -> Vec<RunResult> {
+    let store = ArtifactStore::at_default().no_disk();
+    let build = SharedEncodedNetwork::start_pipelined(configs, workload, SEED, &store);
+    let runs = configs.iter().map(|cfg| pra_core::run(cfg, workload, &build, |_, _| {})).collect();
+    build.finish(&store);
+    runs
 }
 
 /// An aligned text table for paper-vs-measured reporting.

@@ -243,7 +243,7 @@ pub fn run_sweep(cfg: &SweepConfig) -> SweepOutcome {
         let sim_start = Instant::now();
         let pra_results: Vec<pra_sim::RunResult> = configs
             .iter()
-            .map(|pra_cfg| pra_core::run_pipelined(pra_cfg, &workload, &build, |_, _| {}))
+            .map(|pra_cfg| pra_core::run(pra_cfg, &workload, &build, |_, _| {}))
             .collect();
         let pra_ms = ms(sim_start);
 

@@ -397,10 +397,8 @@ mod tests {
             let store = ArtifactStore::new(&dir).tier(ArtifactKind::Encoded);
             let build =
                 crate::SharedEncodedNetwork::start_pipelined(&configs, &workload, 1, &store);
-            let cold = configs
-                .iter()
-                .map(|c| crate::run_pipelined(c, &workload, &build, |_, _| {}))
-                .collect();
+            let cold =
+                configs.iter().map(|c| crate::run(c, &workload, &build, |_, _| {})).collect();
             let _ = build.finish(&store);
             let wanted = crate::shared::wanted_pairs(&configs);
             let key = encoded_key(&workload, 1, &wanted);
@@ -476,7 +474,7 @@ mod tests {
             let results: Vec<_> = fx
                 .configs
                 .iter()
-                .map(|c| crate::run_pipelined(c, &fx.workload, &build, |_, _| {}))
+                .map(|c| crate::run(c, &fx.workload, &build, |_, _| {}))
                 .collect();
             prop_assert_eq!(build.encoded_outcome(), pra_workloads::cache::CacheOutcome::Miss);
             let _ = build.finish(&store);

@@ -12,7 +12,7 @@
 //! * [`config`] — [`PraConfig`]: first-stage shifter width `L`,
 //!   synchronization policy, software trimming, representation, encoding,
 //!   simulation fidelity.
-//! * [`column`] — the per-column oneffset scheduler: the greedy
+//! * [`column`](mod@column) — the per-column oneffset scheduler: the greedy
 //!   minimum-oneffset rule of Fig. 7 that decides, each cycle, which lanes
 //!   consume an oneffset and which stall.
 //! * [`pip`] — the Pragmatic Inner Product unit datapath (Fig. 6): shift,
@@ -28,10 +28,13 @@
 //! * [`shared`] — build-once artifacts shared across design points:
 //!   one encoding per [`EncodingKey`], one schedule memo per
 //!   [`SchedulerConfig`], one traffic count per layer, all built by
-//!   one pipelined builder (the sweep's and the server's cross-config
-//!   reuse).
-//! * [`sim`] — layer- and network-level simulation producing
-//!   [`pra_sim::RunResult`]s comparable with the baseline engines.
+//!   one pipelined builder (every network run's cross-config reuse).
+//! * [`sim`] — the simulation surface: one layer kernel
+//!   ([`simulate_layer_shared`], with [`simulate_layer`] as its
+//!   one-layer convenience) and one network entry point ([`run`]) over
+//!   a [`PipelinedBuild`], producing [`pra_sim::RunResult`]s comparable
+//!   with the baseline engines. The pre-memoization oracle stays
+//!   reachable as [`sim::simulate_layer_raw`] for tests and benches.
 //! * [`functional`] — bit-exact computation of layer outputs through the
 //!   oneffset datapath, verified against the reference convolution.
 //!
@@ -63,7 +66,4 @@ pub use schedule::{EncodedLayer, LayerScheduler};
 pub use shared::{
     ArtifactPool, PipelinedBuild, SharedEncodedNetwork, TRAFFIC_KIND, TRAFFIC_VERSION,
 };
-pub use sim::{
-    run, run_pipelined, simulate_layer, simulate_layer_raw, simulate_layer_shared,
-    simulate_layer_view,
-};
+pub use sim::{run, simulate_layer, simulate_layer_shared};

@@ -30,7 +30,7 @@ use pra_tensor::brick::BrickRef;
 use pra_tensor::{Dim3, Tensor3, BRICK};
 
 use crate::column::{schedule_brick_with, ColumnSchedule, SchedulerConfig};
-use crate::config::{Encoding, EncodingKey, PraConfig};
+use crate::config::{Encoding, EncodingKey};
 
 /// The per-layer flat mask buffer: every neuron trimmed and encoded
 /// exactly once, stored brick-contiguously (ragged channel tails are
@@ -44,17 +44,8 @@ pub struct EncodedLayer {
 }
 
 impl EncodedLayer {
-    /// Trims and encodes every neuron of `neurons` once, per `cfg`'s
-    /// software-trim and encoding settings.
-    pub fn new(
-        cfg: &PraConfig,
-        window: pra_fixed::PrecisionWindow,
-        neurons: &Tensor3<u16>,
-    ) -> Self {
-        Self::with_key(cfg.encoding_key(), window, neurons)
-    }
-
-    /// [`EncodedLayer::new`] from the bare [`EncodingKey`] — the masks
+    /// Trims and encodes every neuron of `neurons` once, per the
+    /// [`EncodingKey`]'s software-trim and encoding settings — the masks
     /// depend on nothing else of a design point, which is what lets
     /// [`crate::SharedEncodedNetwork`] share one buffer across every
     /// configuration that agrees on the key.
@@ -161,18 +152,9 @@ pub struct LayerScheduler {
 }
 
 impl LayerScheduler {
-    /// Builds the pipeline for one layer: O(layer volume) encoding now,
-    /// O(1) per brick visit afterwards.
-    pub fn new(
-        cfg: &PraConfig,
-        window: pra_fixed::PrecisionWindow,
-        neurons: &Tensor3<u16>,
-    ) -> Self {
-        Self::with_encoded(Arc::new(EncodedLayer::new(cfg, window, neurons)), cfg.scheduler())
-    }
-
     /// Builds the memo over an already-encoded (possibly shared) mask
-    /// buffer.
+    /// buffer: the encoding was O(layer volume), every brick visit is
+    /// O(1) afterwards.
     pub fn with_encoded(encoded: Arc<EncodedLayer>, scheduler: SchedulerConfig) -> Self {
         let bricks = encoded.dim.x * encoded.dim.y * encoded.bricks_deep;
         let memo = (0..bricks).map(|_| AtomicU64::new(UNSET)).collect();
@@ -256,6 +238,7 @@ impl LayerScheduler {
 mod tests {
     use super::*;
     use crate::column::csd_mask;
+    use crate::config::PraConfig;
     use pra_fixed::PrecisionWindow;
     use pra_workloads::Representation;
 
@@ -273,7 +256,7 @@ mod tests {
                     encoding,
                     ..PraConfig::two_stage(2, Representation::Fixed16).with_trim(trim)
                 };
-                let enc = EncodedLayer::new(&cfg, window, &n);
+                let enc = EncodedLayer::with_key(cfg.encoding_key(), window, &n);
                 for (x, y, i0) in [(0usize, 0usize, 0usize), (4, 3, 16), (2, 1, 0)] {
                     let got = enc.brick_masks(x, y, i0);
                     let vals = n.brick_padded(x as isize, y as isize, i0);
@@ -295,7 +278,8 @@ mod tests {
         let n = neurons((6, 3, 32));
         let cfg = PraConfig::two_stage(2, Representation::Fixed16);
         let window = PrecisionWindow::with_width(9, 2);
-        let sched = LayerScheduler::new(&cfg, window, &n);
+        let encoded = EncodedLayer::with_key(cfg.encoding_key(), window, &n);
+        let sched = LayerScheduler::with_encoded(Arc::new(encoded), cfg.scheduler());
         for b in [
             BrickRef { x: 0, y: 0, i: 0 },
             BrickRef { x: 5, y: 2, i: 16 },

@@ -18,15 +18,18 @@
 //! These artifacts are built one way and consumed one way.
 //! [`SharedEncodedNetwork::start_pipelined`] starts a [`PipelinedBuild`]
 //! that materializes each distinct artifact exactly once per layer, in
-//! layer order, on a background thread; [`crate::sim::run_pipelined`]
-//! simulates one design point against it, layer *n* while layer *n + 1*
-//! is still building; and [`PipelinedBuild::finish`] assembles the
-//! layers into a [`SharedEncodedNetwork`] and publishes whatever the
-//! store missed. A network that already finished (an [`ArtifactPool`]
-//! hit) re-enters the same path as [`PipelinedBuild::finished`]: every
-//! layer present, no thread, nothing to publish. Results are
-//! cycle-for-cycle identical to per-config [`crate::sim::run`] — pinned
-//! by the equivalence grid in `tests/memo_sim.rs`.
+//! layer order, on a background thread; [`crate::run`] simulates one
+//! design point against it, layer *n* while layer *n + 1* is still
+//! building; and [`PipelinedBuild::finish`] assembles the layers into a
+//! [`SharedEncodedNetwork`] and publishes whatever the store missed. A
+//! network that already finished (an [`ArtifactPool`] hit) re-enters
+//! the same path as [`PipelinedBuild::finished`]: every layer present,
+//! no thread, nothing to publish. Every PRA network simulation in the
+//! workspace — sweep, server, figure benches, examples and tests — goes
+//! through this path; [`crate::simulate_layer`] builds its one layer
+//! with the same per-layer builder. Results are cycle-for-cycle
+//! identical to simulating each layer on its own unshared scheduler —
+//! pinned by the equivalence grid in `tests/memo_sim.rs`.
 //!
 //! Two artifact kinds additionally persist across *processes* through
 //! the tiered [`ArtifactStore`] (DESIGN.md §9, §15):
@@ -219,6 +222,16 @@ fn build_layer_artifacts(
         ));
     }
     SharedLayer { schedulers }
+}
+
+/// One layer's scheduler for one design point, built exactly as the
+/// pipelined builder builds it — the single-layer paths
+/// ([`crate::simulate_layer`], the inference driver) share the builder
+/// instead of keeping a constructor of their own.
+pub(crate) fn layer_scheduler(cfg: &PraConfig, view: &LayerView<'_>) -> Arc<LayerScheduler> {
+    let wanted = wanted_pairs(std::slice::from_ref(cfg));
+    let (_, _, sched) = build_layer_artifacts(&wanted, view).schedulers.remove(0);
+    sched
 }
 
 /// Layer slots the pipelined builder fills in index order.
@@ -879,7 +892,7 @@ pub(crate) fn test_toy_workload() -> NetworkWorkload {
 mod tests {
     use super::*;
     use crate::config::Encoding;
-    use crate::sim::run_pipelined;
+    use crate::sim::run;
     use pra_sim::RunResult;
     use pra_workloads::Representation;
     use proptest::prelude::*;
@@ -908,8 +921,7 @@ mod tests {
         store: &ArtifactStore,
     ) -> (Vec<RunResult>, CacheOutcome, CacheOutcome, Arc<SharedEncodedNetwork>) {
         let build = SharedEncodedNetwork::start_pipelined(configs, workload, seed, store);
-        let results =
-            configs.iter().map(|c| run_pipelined(c, workload, &build, |_, _| {})).collect();
+        let results = configs.iter().map(|c| run(c, workload, &build, |_, _| {})).collect();
         let outcomes = (build.encoded_outcome(), build.traffic_outcome());
         (results, outcomes.0, outcomes.1, build.finish(store))
     }
@@ -922,7 +934,7 @@ mod tests {
         network: &Arc<SharedEncodedNetwork>,
     ) -> Vec<RunResult> {
         let done = PipelinedBuild::finished(Arc::clone(network));
-        configs.iter().map(|c| run_pipelined(c, workload, &done, |_, _| {})).collect()
+        configs.iter().map(|c| run(c, workload, &done, |_, _| {})).collect()
     }
 
     /// Pool → build resolution as the serving path performs it: a hit
@@ -1104,7 +1116,7 @@ mod tests {
         assert_eq!(encoded, CacheOutcome::Miss);
         let build = SharedEncodedNetwork::start_pipelined(&configs, &workload, 0xE, &store);
         let warm_results: Vec<RunResult> =
-            configs.iter().map(|c| run_pipelined(c, &workload, &build, |_, _| {})).collect();
+            configs.iter().map(|c| run(c, &workload, &build, |_, _| {})).collect();
         assert_eq!(build.encoded_outcome(), CacheOutcome::Hit, "second build must load the entry");
         assert_eq!(remove_encoded_entries(&dir), 1);
         let warm = build.finish(&store);
@@ -1226,9 +1238,9 @@ mod tests {
         let (w, s, hit) = pooled(&pool, &configs, 0xC, &store);
         assert!(hit);
         let pooled = run_finished(&configs, &w, &s);
-        let direct =
-            crate::run(&configs[0], &NetworkWorkload::build(net, Representation::Fixed16, 0xC));
-        assert_eq!(pooled, vec![direct], "pool reuse must be invisible in the results");
+        let fresh = Arc::new(NetworkWorkload::build(net, Representation::Fixed16, 0xC));
+        let (direct, ..) = run_build(&configs, &fresh, 0xC, &store);
+        assert_eq!(pooled, direct, "pool reuse must be invisible in the results");
     }
 
     #[test]

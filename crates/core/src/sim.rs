@@ -6,24 +6,29 @@
 //! synchronization policy. Tiles are identical by construction (§V-A3), so
 //! one tile is simulated and the filter-group count scales the result.
 //!
-//! The hot path is the layer-scoped pipeline of [`crate::schedule`]:
-//! neurons are trimmed and encoded once per layer, each unique input brick
-//! is scheduled once and memoized (overlapping convolution windows reuse
-//! the entry instead of re-scheduling — a K×K-fold saving), and pallets
-//! fan out across the thread pool with an order-preserving reduction, so
-//! a single-layer request scales across cores. The pre-memoization
-//! implementation is retained as [`simulate_layer_raw`], the
-//! cycle-for-cycle oracle that tests and the `micro` bench compare
-//! against.
+//! There is one layer kernel, [`simulate_layer_shared`]: neurons are
+//! trimmed and encoded once per layer, each unique input brick is
+//! scheduled once and memoized (the layer-scoped pipeline of
+//! [`crate::schedule`] — overlapping convolution windows reuse the entry
+//! instead of re-scheduling, a K×K-fold saving), and pallets fan out
+//! across the thread pool with an order-preserving reduction, so a
+//! single-layer request scales across cores. [`simulate_layer`] is its
+//! one-layer convenience.
 //!
-//! A network run has two entry points: [`run`] encodes and schedules
-//! per design point (the reference), and [`run_pipelined`] runs one
-//! design point against the artifacts a [`PipelinedBuild`] shares
-//! across design points (the sweep and serving path) — in flight or
-//! already finished, with a per-layer observer for streaming.
+//! There is one network entry point, [`run`]: one design point against
+//! the artifacts a [`PipelinedBuild`] shares across design points — in
+//! flight or already finished, with a per-layer observer for streaming.
+//! The sweep, the server, the figure benches and the tests all go
+//! through it, so every design point sees the same neuron streams with
+//! the same reuse (the paper's §VI-A convention).
+//!
+//! The pre-memoization implementation is retained as
+//! [`simulate_layer_raw`], the cycle-for-cycle oracle that tests and the
+//! `micro` bench compare against; it is reachable only through this
+//! module, not the crate root.
 
 use pra_engines::shared_traffic;
-use pra_sim::{AccessCounters, ChipConfig, Dispatcher, LayerResult, NeuronMemory, RunResult};
+use pra_sim::{AccessCounters, Dispatcher, LayerResult, NeuronMemory, RunResult};
 use pra_tensor::brick::{brick_for, brick_steps, fetch_pallet_step, pallets, BrickStep, PalletRef};
 use pra_tensor::{ConvLayerSpec, BRICK, PALLET};
 use pra_workloads::{LayerView, LayerWorkload, NetworkWorkload};
@@ -32,56 +37,32 @@ use rayon::prelude::*;
 use crate::column::{csd_mask, schedule_brick_with, ColumnSchedule};
 use crate::config::{Encoding, Fidelity, PraConfig, SyncPolicy};
 use crate::schedule::LayerScheduler;
-use crate::shared::PipelinedBuild;
+use crate::shared::{layer_scheduler, PipelinedBuild};
 use crate::tile::{column_sync, pallet_sync, PalletOutcome};
 
-/// Simulates one layer on the configured Pragmatic design point.
+/// Simulates one layer on the configured Pragmatic design point — the
+/// one-layer convenience over [`simulate_layer_shared`], with the
+/// layer's scheduler built the way the pipelined builder builds it.
 pub fn simulate_layer(cfg: &PraConfig, layer: &LayerWorkload) -> LayerResult {
-    simulate_layer_view(cfg, layer.view())
-}
-
-/// Simulates one borrowed layer (no neuron tensor clone) on the
-/// configured design point, parallelizing across pallets.
-pub fn simulate_layer_view(cfg: &PraConfig, layer: LayerView<'_>) -> LayerResult {
-    simulate_layer_view_with(cfg, layer, true)
-}
-
-/// [`simulate_layer_view`] with explicit control over pallet-level
-/// parallelism. Results are bit-identical either way (the reduction is
-/// order-preserving and integer sums are associative); the knob exists so
-/// the determinism test can pin that invariant down.
-#[doc(hidden)]
-pub fn simulate_layer_view_with(
-    cfg: &PraConfig,
-    layer: LayerView<'_>,
-    parallel: bool,
-) -> LayerResult {
-    let sched = LayerScheduler::new(cfg, layer.window, layer.neurons);
-    simulate_layer_sched(cfg, layer, &sched, None, parallel)
+    let view = layer.view();
+    simulate_layer_shared(cfg, view, &layer_scheduler(cfg, &view), None)
 }
 
 /// Simulates one borrowed layer against an externally-built (typically
 /// shared) [`LayerScheduler`], optionally reusing precomputed NM/SB
-/// traffic counters. Cycle-for-cycle identical to [`simulate_layer_view`]
-/// when the scheduler was built for `cfg`'s encoding key, scheduler
-/// parameters and the layer's window — [`PipelinedBuild::artifacts`]
+/// traffic counters — the one layer kernel every path runs. The
+/// scheduler must have been built for `cfg`'s encoding key, scheduler
+/// parameters and the layer's window; [`PipelinedBuild::artifacts`]
 /// enforces that pairing.
+///
+/// Pallets fan out across the thread pool in contiguous chunks with an
+/// order-preserving reduction, so the result is bit-identical at any
+/// thread count (integer sums are associative).
 pub fn simulate_layer_shared(
     cfg: &PraConfig,
     layer: LayerView<'_>,
     sched: &LayerScheduler,
     traffic: Option<&AccessCounters>,
-) -> LayerResult {
-    simulate_layer_sched(cfg, layer, sched, traffic, true)
-}
-
-/// Shared core of the memoized simulation paths.
-fn simulate_layer_sched(
-    cfg: &PraConfig,
-    layer: LayerView<'_>,
-    sched: &LayerScheduler,
-    traffic: Option<&AccessCounters>,
-    parallel: bool,
 ) -> LayerResult {
     let spec = layer.spec;
     let dispatcher = layer_dispatcher(cfg);
@@ -94,11 +75,7 @@ fn simulate_layer_sched(
     // thread churn down when layer simulation runs nested inside an
     // already-parallel batch (the sweep driver's jobs).
     const MIN_PALLETS_PER_WORKER: usize = 8;
-    let workers = if parallel {
-        rayon::current_num_threads().min(selected.len() / MIN_PALLETS_PER_WORKER).max(1)
-    } else {
-        1
-    };
+    let workers = rayon::current_num_threads().min(selected.len() / MIN_PALLETS_PER_WORKER).max(1);
     let totals = if workers > 1 {
         // Contiguous chunks, mapped in input order and summed in chunk
         // order: the same deterministic reduction the sweep driver pins
@@ -263,7 +240,7 @@ fn finish_layer(
 /// per overlapping window, exactly as the hardware's dispatcher would
 /// stream it. Kept as the oracle for the layer-scoped pipeline — results
 /// must be cycle-for-cycle identical to [`simulate_layer`] — and as the
-/// `micro` bench's raw baseline.
+/// `micro` bench's raw baseline; not re-exported at the crate root.
 pub fn simulate_layer_raw(cfg: &PraConfig, layer: &LayerWorkload) -> LayerResult {
     let spec = &layer.spec;
     let dispatcher = layer_dispatcher(cfg);
@@ -314,35 +291,50 @@ fn schedule_column(cfg: &PraConfig, layer: &LayerWorkload, brick: &[u16; BRICK])
     schedule_brick_with(&masks, cfg.scheduler())
 }
 
-/// Simulates a network's convolutional layers on the configured design
-/// point, labelled with [`PraConfig::label`].
-pub fn run(cfg: &PraConfig, workload: &NetworkWorkload) -> RunResult {
-    assert_eq!(cfg.repr, workload.repr, "configuration representation must match the workload");
-    let mut result = RunResult::new(cfg.label());
-    for layer in &workload.layers {
-        result.layers.push(simulate_layer(cfg, layer));
-    }
-    result
-}
-
-/// [`run`] against the build-once artifacts of a [`PipelinedBuild`] —
-/// the one way shared artifacts are consumed. Every layer borrows its
-/// shared scheduler (and, when available, the engine-independent
-/// traffic counters) instead of re-encoding and re-scheduling per
-/// design point, and simulates as soon as the build has it: against a
-/// build still in flight, layer *n* simulates while the builder thread
-/// encodes layer *n + 1*; against [`PipelinedBuild::finished`] every
-/// layer is already there. `on_layer(idx, partial)` fires the moment
-/// layer `idx` finishes simulating, with the run result accumulated so
-/// far — the serving tier's v2 streaming hook (each call becomes one
-/// `layer_result` wire frame). Neither the schedule nor the observer
-/// changes the result: it is cycle-for-cycle identical to [`run`].
+/// Simulates a network's convolutional layers on one design point,
+/// labelled with [`PraConfig::label`], against the build-once artifacts
+/// of a [`PipelinedBuild`] — the one network-level entry point. Every
+/// layer borrows its shared scheduler (and, when available, the
+/// engine-independent traffic counters) and simulates as soon as the
+/// build has it: against a build still in flight, layer *n* simulates
+/// while the builder thread encodes layer *n + 1*; against
+/// [`PipelinedBuild::finished`] every layer is already there.
+/// `on_layer(idx, partial)` fires the moment layer `idx` finishes
+/// simulating, with the run result accumulated so far — the serving
+/// tier's v2 streaming hook (each call becomes one `layer_result` wire
+/// frame). Neither the schedule nor the observer changes the result.
+///
+/// ```
+/// use std::sync::Arc;
+/// use pra_core::{run, Fidelity, PraConfig, SharedEncodedNetwork};
+/// use pra_workloads::cache::ArtifactStore;
+/// use pra_workloads::{Network, NetworkWorkload, Representation};
+///
+/// let repr = Representation::Fixed16;
+/// let mut w = NetworkWorkload::build(Network::AlexNet, repr, 7);
+/// w.layers.truncate(1);
+/// let w = Arc::new(w);
+/// let fid = Fidelity::Sampled { max_pallets: 4 };
+/// let configs = [
+///     PraConfig::two_stage(2, repr).with_fidelity(fid),
+///     PraConfig::per_column(1, repr).with_fidelity(fid),
+/// ];
+/// // One diskless build serves both design points.
+/// let store = ArtifactStore::at_default().no_disk();
+/// let build = SharedEncodedNetwork::start_pipelined(&configs, &w, 7, &store);
+/// let pallet = run(&configs[0], &w, &build, |_, _| {});
+/// let column = run(&configs[1], &w, &build, |_, _| {});
+/// assert!(column.total_cycles() <= pallet.total_cycles());
+/// let shared = build.finish(&store);
+/// assert_eq!(shared.layer_count(), 1);
+/// ```
 ///
 /// # Panics
 ///
-/// Panics if the build does not cover `cfg` or the workload shape, or
-/// if the builder thread died mid-build.
-pub fn run_pipelined(
+/// Panics if the configuration and workload representations differ, if
+/// the build does not cover `cfg` or the workload shape, or if the
+/// builder thread died mid-build.
+pub fn run(
     cfg: &PraConfig,
     workload: &NetworkWorkload,
     build: &PipelinedBuild,
@@ -363,16 +355,11 @@ pub fn run_pipelined(
     result
 }
 
-/// DaDianNao cycles for the same chip structure — a convenience re-export
-/// used when computing speedups.
-pub fn dadn_baseline(chip: &ChipConfig, workload: &NetworkWorkload) -> RunResult {
-    pra_engines::dadn::run(chip, workload)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pra_fixed::PrecisionWindow;
+    use pra_sim::ChipConfig;
     use pra_tensor::{ConvLayerSpec, Tensor3};
     use pra_workloads::Representation;
 
@@ -559,7 +546,11 @@ mod tests {
             },
             1,
         );
+        let w = std::sync::Arc::new(w);
+        let store = pra_workloads::cache::ArtifactStore::at_default().no_disk();
+        let quant = PraConfig::two_stage(2, Representation::Quant8);
+        let build = crate::SharedEncodedNetwork::start_pipelined(&[quant], &w, 1, &store);
         let cfg = PraConfig::two_stage(2, Representation::Fixed16);
-        let _ = run(&cfg, &w);
+        let _ = run(&cfg, &w, &build, |_, _| {});
     }
 }

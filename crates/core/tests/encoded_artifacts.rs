@@ -12,7 +12,7 @@
 //!
 //! Every build goes through the one builder the sweep and the server
 //! use: `start_pipelined`, every config simulated through
-//! `run_pipelined` while the layers arrive, then `finish`, which
+//! `run` while the layers arrive, then `finish`, which
 //! publishes a missed entry.
 //!
 //! The toy workload mirrors `shared.rs`'s unit-test fixture: built from
@@ -23,7 +23,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use pra_core::{run_pipelined, Fidelity, PipelinedBuild, PraConfig, SharedEncodedNetwork};
+use pra_core::{run, Fidelity, PipelinedBuild, PraConfig, SharedEncodedNetwork};
 use pra_fixed::PrecisionWindow;
 use pra_tensor::{ConvLayerSpec, Tensor3};
 use pra_workloads::cache::{ArtifactKind, ArtifactStore, CacheOutcome};
@@ -109,7 +109,7 @@ fn build_and_run(
     store: &ArtifactStore,
 ) -> (Vec<pra_sim::RunResult>, CacheOutcome) {
     let build = SharedEncodedNetwork::start_pipelined(cfgs, workload, SEED, store);
-    let results = cfgs.iter().map(|c| run_pipelined(c, workload, &build, |_, _| {})).collect();
+    let results = cfgs.iter().map(|c| run(c, workload, &build, |_, _| {})).collect();
     let outcome = build.encoded_outcome();
     let _ = build.finish(store);
     (results, outcome)
@@ -138,7 +138,7 @@ fn sampled_runs_are_bit_identical_off_a_full_built_entry() {
     let sampled = configs(Fidelity::Sampled { max_pallets: 1 });
     let build = SharedEncodedNetwork::start_pipelined(&sampled, &workload, SEED, &store);
     let warm_results: Vec<_> =
-        sampled.iter().map(|c| run_pipelined(c, &workload, &build, |_, _| {})).collect();
+        sampled.iter().map(|c| run(c, &workload, &build, |_, _| {})).collect();
     assert_eq!(
         build.encoded_outcome(),
         CacheOutcome::Hit,
@@ -218,7 +218,7 @@ fn racing_writers_publish_exactly_one_valid_entry() {
         for _ in 0..8 {
             scope.spawn(|| {
                 let build = SharedEncodedNetwork::start_pipelined(&cfgs, &workload, SEED, &store);
-                let _ = run_pipelined(&cfgs[0], &workload, &build, |_, _| {});
+                let _ = run(&cfgs[0], &workload, &build, |_, _| {});
                 let _ = build.finish(&store);
             });
         }

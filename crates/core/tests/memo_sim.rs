@@ -2,24 +2,26 @@
 //!
 //! The memoized simulator ([`pra_core::simulate_layer`]) must be
 //! indistinguishable from the retained pre-memoization oracle
-//! ([`pra_core::simulate_layer_raw`]) — not just in total cycles but in
-//! every counter — across the design space: both encodings, trimming on
-//! and off, every first-stage width, every synchronization policy, both
-//! representations, ragged geometry and sampled fidelity. A separate test
-//! pins the pallet-parallel invariant: parallel and serial simulation of
-//! the same layer are bit-identical.
+//! ([`pra_core::sim::simulate_layer_raw`]) — not just in total cycles
+//! but in every counter — across the design space: both encodings,
+//! trimming on and off, every first-stage width, every synchronization
+//! policy, both representations, ragged geometry and sampled fidelity.
+//! (`tests/pallet_parallel.rs` pins the pallet-parallel invariant:
+//! simulation is bit-identical at any thread count.)
 //!
 //! The same obligation holds one level up for the cross-config shared
-//! artifacts: [`pra_core::run_pipelined`] against one shared build —
-//! in flight or finished — must equal per-config [`pra_core::run`]
-//! result-for-result across the grid of encodings, trim settings, sync
-//! policies and representations the sweep mixes into one job.
+//! artifacts: [`pra_core::run`] against one shared build — in flight or
+//! finished — must equal simulating every layer on its own unshared
+//! scheduler ([`pra_core::simulate_layer`]) result-for-result across
+//! the grid of encodings, trim settings, sync policies and
+//! representations the sweep mixes into one job.
 
 use std::sync::Arc;
 
+use pra_core::sim::simulate_layer_raw;
 use pra_core::{
-    run, run_pipelined, simulate_layer, simulate_layer_raw, Encoding, Fidelity, PipelinedBuild,
-    PraConfig, SharedEncodedNetwork, SyncPolicy,
+    run, simulate_layer, Encoding, Fidelity, PipelinedBuild, PraConfig, SharedEncodedNetwork,
+    SyncPolicy,
 };
 use pra_fixed::PrecisionWindow;
 use pra_tensor::{ConvLayerSpec, Tensor3};
@@ -114,20 +116,6 @@ fn memoized_equals_raw_for_quant8() {
 }
 
 #[test]
-fn pallet_parallel_equals_serial() {
-    // The pallet-parallel reduction is order-preserving, so the parallel
-    // and serial paths must agree bit-for-bit — the same invariant the
-    // sweep driver pins for its job rows.
-    let layer = toy_layer();
-    for sync in [SyncPolicy::PerPallet, SyncPolicy::PerColumn { ssrs: 2 }] {
-        let cfg = PraConfig { sync, ..PraConfig::two_stage(2, Representation::Fixed16) };
-        let parallel = pra_core::sim::simulate_layer_view_with(&cfg, layer.view(), true);
-        let serial = pra_core::sim::simulate_layer_view_with(&cfg, layer.view(), false);
-        assert_eq!(parallel, serial, "{sync}");
-    }
-}
-
-#[test]
 fn msb_first_ablation_still_identical() {
     // MSB-first takes the general scheduler path inside the memo; the
     // pipeline must stay exact there too.
@@ -174,16 +162,15 @@ fn assert_shared_equals_per_config(configs: &[PraConfig], w: &NetworkWorkload, w
     let w = Arc::new(w.clone());
     let store = ArtifactStore::at_default().no_disk();
     let build = SharedEncodedNetwork::start_pipelined(configs, &w, 0, &store);
-    let in_flight: Vec<_> =
-        configs.iter().map(|c| run_pipelined(c, &w, &build, |_, _| {})).collect();
+    let in_flight: Vec<_> = configs.iter().map(|c| run(c, &w, &build, |_, _| {})).collect();
     let finished = PipelinedBuild::finished(build.finish(&store));
     for (cfg, via_build) in configs.iter().zip(in_flight) {
-        let via_finished = run_pipelined(cfg, &w, &finished, |_, _| {});
-        let per_config = run(cfg, &w);
+        let via_finished = run(cfg, &w, &finished, |_, _| {});
+        let per_config: Vec<_> = w.layers.iter().map(|l| simulate_layer(cfg, l)).collect();
         for (via, form) in [(&via_build, "in flight"), (&via_finished, "finished")] {
             assert_eq!(
                 via.layers,
-                per_config.layers,
+                per_config,
                 "shared ({form}) != per-config for {} ({what})",
                 cfg.label()
             );

@@ -1,27 +1,40 @@
 //! End-to-end speedup shape checks against the paper's headline numbers
 //! (Figs. 9, 10, 12 and Table V). Exact paper-vs-measured rows are printed
 //! by the bench targets; these tests pin the *shape*: who wins, by roughly
-//! what factor, and the orderings that must hold.
+//! what factor, and the orderings that must hold. Every design point of
+//! a test runs through one shared build per workload, the path the
+//! sweep and the server take.
 
-use pra_core::{Fidelity, PraConfig, SyncPolicy};
+use std::sync::Arc;
+
+use pra_core::{Fidelity, PraConfig, SharedEncodedNetwork, SyncPolicy};
 use pra_engines::{dadn, stripes};
-use pra_sim::{geomean, ChipConfig};
+use pra_sim::{geomean, ChipConfig, RunResult};
+use pra_workloads::cache::ArtifactStore;
 use pra_workloads::{Network, NetworkWorkload, Representation};
 
 const SEED: u64 = 0x51AE;
 const FIDELITY: Fidelity = Fidelity::Sampled { max_pallets: 48 };
+
+/// Every config of `cfgs` on `w`, through one diskless shared build.
+fn run_all(cfgs: &[PraConfig], w: &Arc<NetworkWorkload>) -> Vec<RunResult> {
+    let store = ArtifactStore::at_default().no_disk();
+    let build = SharedEncodedNetwork::start_pipelined(cfgs, w, SEED, &store);
+    let runs = cfgs.iter().map(|cfg| pra_core::run(cfg, w, &build, |_, _| {})).collect();
+    build.finish(&store);
+    runs
+}
 
 fn speedups_for(repr: Representation, cfgs: &[PraConfig]) -> (Vec<f64>, Vec<Vec<f64>>) {
     let chip = ChipConfig::dadn();
     let mut stripes_all = vec![];
     let mut pra_all = vec![vec![]; cfgs.len()];
     for net in Network::ALL {
-        let w = NetworkWorkload::build(net, repr, SEED);
+        let w = Arc::new(NetworkWorkload::build(net, repr, SEED));
         let base = dadn::run(&chip, &w);
         let s = stripes::run(&chip, &w);
         stripes_all.push(s.speedup_over(&base));
-        for (k, cfg) in cfgs.iter().enumerate() {
-            let r = pra_core::run(cfg, &w);
+        for (k, r) in run_all(cfgs, &w).iter().enumerate() {
             pra_all[k].push(r.speedup_over(&base));
         }
     }
@@ -95,11 +108,11 @@ fn table5_software_guidance_benefit() {
     let chip = ChipConfig::dadn();
     let mut benefits = vec![];
     for net in Network::ALL {
-        let w = NetworkWorkload::build(net, Representation::Fixed16, SEED);
+        let w = Arc::new(NetworkWorkload::build(net, Representation::Fixed16, SEED));
         let base = dadn::run(&chip, &w);
         let cfg = PraConfig::per_column(1, Representation::Fixed16).with_fidelity(FIDELITY);
-        let with_trim = pra_core::run(&cfg, &w).speedup_over(&base);
-        let without = pra_core::run(&cfg.with_trim(false), &w).speedup_over(&base);
+        let runs = run_all(&[cfg, cfg.with_trim(false)], &w);
+        let (with_trim, without) = (runs[0].speedup_over(&base), runs[1].speedup_over(&base));
         let benefit = with_trim / without - 1.0;
         println!("{net}: trim {with_trim:.2} no-trim {without:.2} benefit {benefit:.2}");
         benefits.push(benefit);

@@ -376,20 +376,17 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let parent = ArtifactStore::new(&dir).tier(ArtifactKind::Workload);
         let key = pra_workloads::cache::KeyHasher::new("test-shard-seed").finish();
-        // `cache_for` is `None` only under a process-wide PRA_NO_CACHE;
-        // the derivation below must behave either way.
-        if let Some(cache) = parent.cache_for(ArtifactKind::Workload) {
-            cache.store("wl", 1, &key, b"seed-me").expect("publish donor entry");
-            let s0 = shard_store(&parent, 0);
-            assert_eq!(s0.dir().unwrap(), dir.join("shard-0"));
-            assert!(s0.tier_enabled(ArtifactKind::Workload));
-            assert!(!s0.tier_enabled(ArtifactKind::Encoded), "tier set copies, not widens");
-            assert_eq!(
-                s0.cache_for(ArtifactKind::Workload).unwrap().load("wl", 1, &key).as_deref(),
-                Some(b"seed-me".as_slice()),
-                "shard store must inherit the donor's entries"
-            );
-        }
+        let cache = parent.cache_for(ArtifactKind::Workload).expect("a disk-backed tier");
+        cache.store("wl", 1, &key, b"seed-me").expect("publish donor entry");
+        let s0 = shard_store(&parent, 0);
+        assert_eq!(s0.dir().unwrap(), dir.join("shard-0"));
+        assert!(s0.tier_enabled(ArtifactKind::Workload));
+        assert!(!s0.tier_enabled(ArtifactKind::Encoded), "tier set copies, not widens");
+        assert_eq!(
+            s0.cache_for(ArtifactKind::Workload).unwrap().load("wl", 1, &key).as_deref(),
+            Some(b"seed-me".as_slice()),
+            "shard store must inherit the donor's entries"
+        );
         assert!(
             shard_store(&parent.clone().no_disk(), 1).dir().is_none(),
             "a diskless cluster store derives diskless shard stores"

@@ -8,8 +8,8 @@
 //!
 //! * [`ring`] — the consistent-hash replica ring. Requests hash on the
 //!   same workload key the batcher coalesces on ([`BatchKey`]: network
-//!   geometry × representation × seed × mask-encoding slice), so every
-//!   request a shard could batch together lands on the same shard and
+//!   geometry × representation × seed), so every request a shard could
+//!   batch together lands on the same shard and
 //!   its [`ArtifactPool`] stays hot. Each key owns an ordered replica
 //!   set (primary + fallbacks) of distinct shards.
 //! * [`health`] — per-shard UP/DEGRADED/DOWN health driven by

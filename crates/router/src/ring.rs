@@ -45,8 +45,8 @@ pub fn key_hash(canonical: &str) -> u64 {
 
 /// The canonical routing string for a request's workload key — exactly
 /// the coalescing key the batcher uses ([`BatchKey`]: network geometry
-/// × representation × seed × mask-encoding slice), so every request a
-/// shard could batch together routes to the same shard.
+/// × representation × seed), so every request a shard could batch
+/// together routes to the same shard.
 pub fn workload_key(key: &BatchKey) -> u64 {
     key_hash(&format!("{key:?}"))
 }
@@ -158,9 +158,10 @@ mod tests {
             v: 1,
         };
         let k = |engine: &str, seed: u64| workload_key(&BatchKey::of(&req(engine, seed)));
-        // The value-blind baselines share the default encoding slice:
-        // they coalesce in one batch, so they must route together.
+        // The engine never splits a batch, so every engine over one
+        // workload must route together.
         assert_eq!(k("DaDN", 1), k("Stripes", 1));
+        assert_eq!(k("DaDN", 1), k("PRA-2b-1R", 1));
         assert_ne!(k("DaDN", 1), k("DaDN", 2), "seed splits the key");
     }
 }

@@ -75,13 +75,16 @@ pub fn json_str_field(line: &str, key: &str) -> Option<String> {
 }
 
 /// Extracts the number following `"key":` in a flat JSON object.
+/// Overflowing literals (`1e999`) are rejected rather than read as
+/// infinities: JSON has no spelling for a non-finite number, so such a
+/// value could never be rendered back onto the wire.
 pub fn json_num_field(line: &str, key: &str) -> Option<f64> {
     let needle = format!("\"{key}\":");
     let rest = line.get(line.find(&needle)? + needle.len()..)?.trim_start();
     let end = rest
         .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
         .unwrap_or(rest.len());
-    rest.get(..end)?.parse().ok()
+    rest.get(..end)?.parse().ok().filter(|v: &f64| v.is_finite())
 }
 
 /// Extracts the number following `"key":` as an exact `u64`, rejecting

@@ -16,9 +16,9 @@
 //!   shared by this crate, the router and the load generator;
 //! * [`queue`] — bounded admission with typed shedding
 //!   ([`ShedReason`]), and batch formation that coalesces requests
-//!   agreeing on [`BatchKey`] (network geometry + representation +
-//!   seed + mask-encoding slice) under a configurable batch-size cap
-//!   and linger window;
+//!   agreeing on [`BatchKey`] (the workload identity: network geometry +
+//!   representation + seed) under a configurable batch-size cap and
+//!   linger window;
 //! * [`service`] — the worker pool: one workload build and one
 //!   [`pra_core::SharedEncodedNetwork`] per batch, each distinct
 //!   engine simulated exactly once, per-request latency split
@@ -33,7 +33,7 @@
 //!   in-flight registry giving every admitted request exactly one
 //!   answer even when its worker dies, dead-worker respawn, and
 //!   per-request deadline enforcement;
-//! * [`bench`] — the closed-loop load generator (`pra bench-serve`)
+//! * [`bench`](mod@bench) — the closed-loop load generator (`pra bench-serve`)
 //!   reporting p50/p95/p99 and throughput into `bench.json`, plus the
 //!   response-digest fingerprint CI pins; sheds are retried with
 //!   jittered exponential backoff.

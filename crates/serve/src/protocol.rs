@@ -28,7 +28,7 @@
 //! Sheds are always monolithic v1 lines, even for v2 requests: a shed
 //! request never started streaming, and clients retry on the bare line.
 
-use pra_core::{EncodingKey, Fidelity, PraConfig};
+use pra_core::{Fidelity, PraConfig};
 use pra_workloads::cache::sha256;
 use pra_workloads::{Network, Representation};
 
@@ -195,7 +195,7 @@ impl StatsSnapshot {
         )
     }
 
-    /// Parses the client side of [`to_json_line`].
+    /// Parses the client side of [`StatsSnapshot::to_json_line`].
     ///
     /// # Errors
     ///
@@ -272,16 +272,6 @@ impl Engine {
                 .into_iter()
                 .find(|c| c.label() == label)
                 .map(Engine::Pra),
-        }
-    }
-
-    /// The mask-encoding slice this engine's artifacts depend on. The
-    /// value-blind baselines have no mask buffer of their own, so they
-    /// coalesce with the standard oneffset encoding group.
-    pub fn encoding_key(&self) -> EncodingKey {
-        match self {
-            Engine::Pra(cfg) => cfg.encoding_key(),
-            _ => PraConfig::default().encoding_key(),
         }
     }
 }
@@ -581,7 +571,7 @@ impl Response {
         }
     }
 
-    /// Parses one response line (the client side of [`to_json_line`]).
+    /// Parses one response line (the client side of [`Response::to_json_line`]).
     ///
     /// # Errors
     ///

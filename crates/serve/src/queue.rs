@@ -20,10 +20,10 @@ use std::sync::mpsc::Sender;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use pra_core::{EncodingKey, Fidelity};
+use pra_core::Fidelity;
 use pra_workloads::{Network, Representation};
 
-use crate::protocol::{Engine, Request, Response, ShedReason};
+use crate::protocol::{Request, Response, ShedReason};
 
 /// Service-wide configuration, shared by the in-process service and the
 /// TCP front end.
@@ -86,12 +86,12 @@ impl Default for ServeConfig {
     }
 }
 
-/// The compatibility key batch formation coalesces on: requests agree
-/// on the workload (network geometry + representation + seed) and on
-/// the mask-encoding slice of their engine, so one
-/// [`pra_core::SharedEncodedNetwork`] (and one cached workload) serves
-/// the whole batch. Requests differing in any component are never
-/// placed in the same batch.
+/// The compatibility key batch formation coalesces on: the workload
+/// identity (network geometry + representation + seed), so one cached
+/// workload and one [`pra_core::SharedEncodedNetwork`] build serve the
+/// whole batch. The build covers every engine of the batch, whatever
+/// its encoding, so the engine never splits a batch. Requests
+/// differing in any component are never placed in the same batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BatchKey {
     /// Network (fixes every layer's geometry).
@@ -100,17 +100,12 @@ pub struct BatchKey {
     pub repr: Representation,
     /// Workload generation seed.
     pub seed: u64,
-    /// Mask-encoding slice of the request's engine.
-    pub encoding: EncodingKey,
 }
 
 impl BatchKey {
     /// The key `req` coalesces under.
     pub fn of(req: &Request) -> BatchKey {
-        let encoding = Engine::from_label(&req.engine, req.repr, Fidelity::Full)
-            .map(|e| e.encoding_key())
-            .unwrap_or_else(|| Engine::DaDn.encoding_key());
-        BatchKey { network: req.network, repr: req.repr, seed: req.seed, encoding }
+        BatchKey { network: req.network, repr: req.repr, seed: req.seed }
     }
 }
 
@@ -362,7 +357,7 @@ mod tests {
         q.submit(req(2, Network::AlexNet, "PRA-2b", 1), tx.clone()).unwrap();
         q.submit(req(3, Network::AlexNet, "DaDN", 2), tx).unwrap();
         let batch = q.next_batch(8, Duration::ZERO).unwrap();
-        // Only ids 0 and 2 share (network, repr, seed, encoding).
+        // Only ids 0 and 2 share (network, repr, seed).
         let ids: Vec<u64> = batch.requests.iter().map(|p| p.req.id).collect();
         assert_eq!(ids, vec![0, 2]);
         assert_eq!(q.len(), 2, "other keys stay queued for other workers");

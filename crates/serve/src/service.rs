@@ -19,7 +19,7 @@
 //! artifact path: a [`PipelinedBuild`] — the pooled network as
 //! [`PipelinedBuild::finished`], or a build freshly started by
 //! [`SharedEncodedNetwork::start_pipelined`] — that the lead engine
-//! consumes layer by layer through [`run_pipelined`] (streaming
+//! consumes layer by layer through [`pra_core::run`] (streaming
 //! `layer_result` frames when the batch has v2 members). A started
 //! build is finished and pooled right after the lead run; the other
 //! PRA engines run over the finished network. A baselines-only batch
@@ -39,7 +39,6 @@
 //! [`PipelinedBuild`]: pra_core::PipelinedBuild
 //! [`PipelinedBuild::finished`]: pra_core::PipelinedBuild::finished
 //! [`SharedEncodedNetwork::start_pipelined`]: pra_core::SharedEncodedNetwork::start_pipelined
-//! [`run_pipelined`]: pra_core::run_pipelined
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,7 +47,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use pra_core::{run_pipelined, ArtifactPool, PipelinedBuild, PraConfig, SharedEncodedNetwork};
+use pra_core::{ArtifactPool, PipelinedBuild, PraConfig, SharedEncodedNetwork};
 use pra_engines::{dadn, stripes};
 use pra_sim::{ChipConfig, RunResult};
 use pra_workloads::cache::CacheOutcome;
@@ -586,7 +585,7 @@ fn run_batch(
     let mut frames_sent: BTreeMap<u64, usize> = BTreeMap::new();
     let layers = workload.layers.len();
     let lead_run: Option<(&str, RunResult)> = lead.zip(build.as_ref()).map(|((label, c), b)| {
-        let r = run_pipelined(&c, &workload, b, |idx, partial| {
+        let r = pra_core::run(&c, &workload, b, |idx, partial| {
             if has_streamers {
                 emit_frames(registry, slot, cfg, &mut frames_sent, idx, layers, partial);
             }
@@ -654,7 +653,7 @@ fn run_batch(
             Engine::Stripes => totals(&stripes::run_views(&chip, &views, key.repr, traffic)),
             Engine::Pra(pra_cfg) => match (&lead_run, &done) {
                 (Some((lead_label, r)), _) if lead_label == label => totals(r),
-                (_, Some(done)) => totals(&run_pipelined(pra_cfg, &workload, done, |_, _| {})),
+                (_, Some(done)) => totals(&pra_core::run(pra_cfg, &workload, done, |_, _| {})),
                 // Unreachable: a resolved PRA engine always has a build.
                 // Falling through to the per-request unknown-engine
                 // error below beats panicking the worker.

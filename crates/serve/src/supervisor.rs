@@ -28,7 +28,7 @@ use pra_workloads::{Network, Representation};
 
 use crate::protocol::Response;
 
-/// Workload identity of a slot's batch — what [`claim_dead`] hands
+/// Workload identity of a slot's batch — what [`InflightRegistry::claim_dead`] hands
 /// back so the service can evict suspect pooled artifacts.
 pub type WorkloadId = (Network, Representation, u64);
 

@@ -59,7 +59,7 @@ proptest! {
 
     /// Over arbitrary request mixes, drained batches (a) are never
     /// empty, (b) never exceed the batch cap, (c) are key-homogeneous —
-    /// incompatible geometry/representation/seed/encoding never rides
+    /// incompatible geometry/representation/seed never rides
     /// in one batch — (d) preserve FIFO order within a key, and
     /// (e) together hand back every admitted request exactly once.
     #[test]
@@ -94,9 +94,9 @@ proptest! {
         prop_assert_eq!(seen.len(), mix.len(), "a request was lost");
     }
 
-    /// The compatibility key is exactly (network, repr, seed, encoding):
-    /// two requests coalesce iff they agree on all four — engines under
-    /// one encoding group never split a batch key.
+    /// The compatibility key is exactly (network, repr, seed): two
+    /// requests coalesce iff they agree on all three — the engine never
+    /// splits a batch key.
     #[test]
     fn batch_key_is_the_workload_identity(
         a in (0usize..6, any::<bool>(), 0usize..5, 0u64..4),
@@ -105,8 +105,6 @@ proptest! {
         let ra = request(0, a.0, a.1, a.2, a.3);
         let rb = request(1, b.0, b.1, b.2, b.3);
         let same_workload = ra.network == rb.network && ra.repr == rb.repr && ra.seed == rb.seed;
-        // All standard engine labels share one encoding key, so the
-        // batch key must collapse to the workload identity.
         prop_assert_eq!(BatchKey::of(&ra) == BatchKey::of(&rb), same_workload);
     }
 }

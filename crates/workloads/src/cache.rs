@@ -30,15 +30,15 @@
 //!   pointing at a user directory cannot nuke foreign files.
 //!
 //! The default location is `<target>/pra-cache/`, overridable with the
-//! `PRA_CACHE_DIR` environment variable; `PRA_NO_CACHE=1` (or
-//! [`set_enabled`]`(false)`, which `pra sweep --no-cache` uses) disables
-//! the cache process-wide. See DESIGN.md §9 for the full key-derivation
-//! and invalidation rules.
+//! `PRA_CACHE_DIR` environment variable. Every consumer reaches disk
+//! through an [`ArtifactStore`], so keeping the disk out is one value:
+//! [`ArtifactStore::no_disk`] (what `--no-cache` installs). See
+//! DESIGN.md §9 for the full key-derivation and invalidation rules.
 
 use std::fs;
 use std::io::{self, Read};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use crate::generator::{ActivationModel, NetworkWorkload, Representation, WINDOW_LSB};
@@ -321,31 +321,6 @@ impl KeyHasher {
     pub fn finish(self) -> CacheKey {
         CacheKey { hex: hex(&self.0.finalize()) }
     }
-}
-
-// ---------------------------------------------------------------------
-// Enable/disable + telemetry
-// ---------------------------------------------------------------------
-
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Whether the cache is active: on by default, off when the process
-/// called [`set_enabled`]`(false)` or the environment sets
-/// `PRA_NO_CACHE` to anything but `0`/empty.
-pub fn enabled() -> bool {
-    static ENV_DISABLED: OnceLock<bool> = OnceLock::new();
-    let env_off = *ENV_DISABLED.get_or_init(
-        || matches!(std::env::var("PRA_NO_CACHE"), Ok(v) if !v.is_empty() && v != "0"),
-    );
-    // relaxed-ok: an isolated on/off flag; no other memory is published
-    // through it, and callers tolerate a stale read by design.
-    ENABLED.load(Ordering::Relaxed) && !env_off
-}
-
-/// Turns the cache on or off process-wide (`pra sweep --no-cache`).
-pub fn set_enabled(on: bool) {
-    // relaxed-ok: an isolated on/off flag; see `enabled`.
-    ENABLED.store(on, Ordering::Relaxed);
 }
 
 // ---------------------------------------------------------------------
@@ -814,7 +789,7 @@ pub enum CacheOutcome {
     Hit,
     /// No valid entry existed; the workload was generated and stored.
     Miss,
-    /// The cache was disabled (`--no-cache` / `PRA_NO_CACHE`).
+    /// The store had no disk or the kind's tier was off (`--no-cache`).
     Disabled,
 }
 
@@ -1086,12 +1061,11 @@ impl ArtifactStore {
     }
 
     /// The single probe point: the backing [`Cache`] for `kind`, or
-    /// `None` when the store has no disk, the tier is off, or the cache
-    /// is disabled process-wide ([`enabled`], `PRA_NO_CACHE`). Callers
+    /// `None` when the store has no disk or the tier is off. Callers
     /// that get `None` generate; callers that get `Some` consult disk
     /// first and publish after a miss.
     pub fn cache_for(&self, kind: ArtifactKind) -> Option<&Cache> {
-        (self.tiers[kind as usize] && enabled()).then_some(self.cache.as_ref()?)
+        self.cache.as_ref().filter(|_| self.tiers[kind as usize])
     }
 
     /// Cache-aware workload build: consult the workload tier first,

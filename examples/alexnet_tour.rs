@@ -6,29 +6,35 @@
 //! cargo run --release --example alexnet_tour
 //! ```
 
-use pragmatic::core::{Fidelity, PraConfig};
+use std::sync::Arc;
+
+use pragmatic::core::{Fidelity, PraConfig, SharedEncodedNetwork};
 use pragmatic::energy::efficiency::{efficiency, EnergyReport};
 use pragmatic::energy::unit::Design;
 use pragmatic::engines::{dadn, potential, stripes};
 use pragmatic::sim::ChipConfig;
+use pragmatic::workloads::cache::ArtifactStore;
 use pragmatic::workloads::{Network, NetworkWorkload, Representation};
 
 fn main() {
     let chip = ChipConfig::dadn();
     println!("building calibrated AlexNet workload (Table I statistics)...");
-    let w = NetworkWorkload::build(Network::AlexNet, Representation::Fixed16, 42);
+    let w = Arc::new(NetworkWorkload::build(Network::AlexNet, Representation::Fixed16, 42));
 
     let fidelity = Fidelity::Sampled { max_pallets: 128 };
     let base = dadn::run(&chip, &w);
     let str_r = stripes::run(&chip, &w);
-    let pra2b = pragmatic::core::run(
-        &PraConfig::two_stage(2, Representation::Fixed16).with_fidelity(fidelity),
-        &w,
-    );
-    let pra1r = pragmatic::core::run(
-        &PraConfig::per_column(1, Representation::Fixed16).with_fidelity(fidelity),
-        &w,
-    );
+    // Both PRA variants share one encoding and one schedule memo: build
+    // the artifacts once (in memory only), then run each design point.
+    let configs = [
+        PraConfig::two_stage(2, Representation::Fixed16).with_fidelity(fidelity),
+        PraConfig::per_column(1, Representation::Fixed16).with_fidelity(fidelity),
+    ];
+    let store = ArtifactStore::at_default().no_disk();
+    let build = SharedEncodedNetwork::start_pipelined(&configs, &w, 42, &store);
+    let pra2b = pragmatic::core::run(&configs[0], &w, &build, |_, _| {});
+    let pra1r = pragmatic::core::run(&configs[1], &w, &build, |_, _| {});
+    build.finish(&store);
 
     println!("\nper-layer speedup over DaDN:");
     println!(

@@ -7,11 +7,14 @@
 //! cargo run --release --example design_space
 //! ```
 
-use pragmatic::core::{Fidelity, PraConfig, SyncPolicy};
+use std::sync::Arc;
+
+use pragmatic::core::{Fidelity, PraConfig, SharedEncodedNetwork, SyncPolicy};
 use pragmatic::energy::chip::{chip_area_mm2, chip_power_w};
 use pragmatic::energy::unit::Design;
 use pragmatic::engines::dadn;
 use pragmatic::sim::{geomean, ChipConfig};
+use pragmatic::workloads::cache::ArtifactStore;
 use pragmatic::workloads::{Network, NetworkWorkload, Representation};
 
 fn main() {
@@ -19,8 +22,10 @@ fn main() {
     let fid = Fidelity::Sampled { max_pallets: 32 };
     // Two representative networks keep the sweep quick.
     let nets = [Network::AlexNet, Network::Vgg19];
-    let workloads: Vec<_> =
-        nets.iter().map(|&n| NetworkWorkload::build(n, Representation::Fixed16, 3)).collect();
+    let workloads: Vec<_> = nets
+        .iter()
+        .map(|&n| Arc::new(NetworkWorkload::build(n, Representation::Fixed16, 3)))
+        .collect();
     let bases: Vec<_> = workloads.iter().map(|w| dadn::run(&chip, w)).collect();
 
     let mut points: Vec<(String, Design, PraConfig)> = Vec::new();
@@ -36,6 +41,14 @@ fn main() {
         points.push((cfg.label(), Design::Pra { first_stage_bits: 2, ssrs }, cfg));
     }
 
+    // One in-memory build per network serves every design point.
+    let configs: Vec<PraConfig> = points.iter().map(|(_, _, cfg)| *cfg).collect();
+    let store = ArtifactStore::at_default().no_disk();
+    let builds: Vec<_> = workloads
+        .iter()
+        .map(|w| SharedEncodedNetwork::start_pipelined(&configs, w, 3, &store))
+        .collect();
+
     let dadn_area = chip_area_mm2(Design::Dadn);
     let dadn_power = chip_power_w(Design::Dadn);
     println!(
@@ -45,8 +58,9 @@ fn main() {
     for (label, design, cfg) in points {
         let speedups: Vec<f64> = workloads
             .iter()
+            .zip(&builds)
             .zip(&bases)
-            .map(|(w, b)| pragmatic::core::run(&cfg, w).speedup_over(b))
+            .map(|((w, build), b)| pragmatic::core::run(&cfg, w, build, |_, _| {}).speedup_over(b))
             .collect();
         let s = geomean(&speedups);
         let a = chip_area_mm2(design);
@@ -60,6 +74,9 @@ fn main() {
             s / (a / dadn_area),
             s / (p / dadn_power),
         );
+    }
+    for build in builds {
+        build.finish(&store);
     }
     println!(
         "\nPRA-2b maximizes performance per area: larger first stages buy\n\

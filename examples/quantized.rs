@@ -6,10 +6,13 @@
 //! cargo run --release --example quantized
 //! ```
 
-use pragmatic::core::{Fidelity, PraConfig, SyncPolicy};
+use std::sync::Arc;
+
+use pragmatic::core::{Fidelity, PraConfig, SharedEncodedNetwork, SyncPolicy};
 use pragmatic::engines::{dadn, stripes};
 use pragmatic::fixed::QuantParams;
 use pragmatic::sim::ChipConfig;
+use pragmatic::workloads::cache::ArtifactStore;
 use pragmatic::workloads::{Network, NetworkWorkload, Representation};
 
 fn main() {
@@ -27,7 +30,7 @@ fn main() {
 
     println!("\nNiN under the quantized representation:");
     let chip = ChipConfig::dadn();
-    let w = NetworkWorkload::build(Network::NiN, Representation::Quant8, 9);
+    let w = Arc::new(NetworkWorkload::build(Network::NiN, Representation::Quant8, 9));
     let base = dadn::run(&chip, &w);
     let fid = Fidelity::Sampled { max_pallets: 64 };
     let configs = [
@@ -48,13 +51,18 @@ fn main() {
             }),
         ),
     ];
+    // One in-memory build serves every PRA design point.
+    let pra: Vec<PraConfig> = configs.iter().filter_map(|(_, cfg)| *cfg).collect();
+    let store = ArtifactStore::at_default().no_disk();
+    let build = SharedEncodedNetwork::start_pipelined(&pra, &w, 9, &store);
     for (name, cfg) in configs {
         let speedup = match cfg {
             None => stripes::run(&chip, &w).speedup_over(&base),
-            Some(cfg) => pragmatic::core::run(&cfg, &w).speedup_over(&base),
+            Some(cfg) => pragmatic::core::run(&cfg, &w, &build, |_, _| {}).speedup_over(&base),
         };
         println!("  {name:18} {speedup:>5.2}x over the 8-bit bit-parallel baseline");
     }
+    build.finish(&store);
     println!(
         "\nPragmatic's benefit persists under quantization because even 8-bit\n\
          codes are mostly zero bits (Table I: 27-37% essential for NiN)."

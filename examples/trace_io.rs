@@ -6,9 +6,12 @@
 //! cargo run --release --example trace_io
 //! ```
 
-use pragmatic::core::{Fidelity, PraConfig};
+use std::sync::Arc;
+
+use pragmatic::core::{Fidelity, PraConfig, SharedEncodedNetwork};
 use pragmatic::engines::dadn;
-use pragmatic::sim::ChipConfig;
+use pragmatic::sim::{ChipConfig, RunResult};
+use pragmatic::workloads::cache::ArtifactStore;
 use pragmatic::workloads::traces::{workload_from_trace, write_trace};
 use pragmatic::workloads::{Network, NetworkWorkload, Representation};
 
@@ -32,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = PraConfig::two_stage(2, Representation::Fixed16)
         .with_fidelity(Fidelity::Sampled { max_pallets: 64 });
     let base = dadn::run(&chip, &traced);
-    let pra = pragmatic::core::run(&cfg, &traced);
+    let pra = simulate(&cfg, traced);
     println!(
         "PRA-2b on the traced workload: {:.2}x over DaDN ({} vs {} cycles)",
         pra.speedup_over(&base),
@@ -41,10 +44,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Identical to simulating the original workload: the trace is lossless.
-    let direct = pragmatic::core::run(&cfg, &original);
+    let direct = simulate(&cfg, original);
     assert_eq!(direct.total_cycles(), pra.total_cycles());
     println!("trace round-trip is lossless (cycle counts identical)");
 
     std::fs::remove_file(&path)?;
     Ok(())
+}
+
+/// One design point over a workload, through an in-memory shared build.
+fn simulate(cfg: &PraConfig, workload: NetworkWorkload) -> RunResult {
+    let workload = Arc::new(workload);
+    let store = ArtifactStore::at_default().no_disk();
+    let build = SharedEncodedNetwork::start_pipelined(&[*cfg], &workload, 2024, &store);
+    let result = pragmatic::core::run(cfg, &workload, &build, |_, _| {});
+    build.finish(&store);
+    result
 }

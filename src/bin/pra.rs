@@ -62,6 +62,7 @@
 #![forbid(unsafe_code)]
 
 use std::process::ExitCode;
+use std::sync::Arc;
 
 use pra_bench::sweep::{self, SweepConfig};
 use pra_bench::Table;
@@ -138,21 +139,18 @@ fn cmd_potential(net: Network) {
 
 fn cmd_speedup(net: Network, repr: Representation) {
     let chip = ChipConfig::dadn();
-    let w = NetworkWorkload::build(net, repr, 0x90AD);
+    let w = Arc::new(NetworkWorkload::build(net, repr, 0x90AD));
     let base = dadn::run(&chip, &w);
     let fid = pra_bench::fidelity();
     println!("{net} ({repr}): speedup over the bit-parallel baseline");
     println!("  Stripes    {:>5.2}x", stripes::run(&chip, &w).speedup_over(&base));
-    for cfg in [
+    let configs = [
         PraConfig::two_stage(2, repr).with_fidelity(fid),
         PraConfig::single_stage(repr).with_fidelity(fid),
         PraConfig::per_column(1, repr).with_fidelity(fid),
-    ] {
-        println!(
-            "  {:10} {:>5.2}x",
-            cfg.label(),
-            pragmatic::core::run(&cfg, &w).speedup_over(&base)
-        );
+    ];
+    for r in pra_bench::run_pra(&configs, &w) {
+        println!("  {:10} {:>5.2}x", r.engine, r.speedup_over(&base));
     }
 }
 
@@ -180,10 +178,6 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
             }
             "--no-cache" => {
                 cfg.store = ArtifactStore::at_default().no_disk();
-                // Also disable the process-wide default so no artifact
-                // (workload, traffic, or encoded) is read or published
-                // this run.
-                cache::set_enabled(false);
             }
             other => {
                 return Err(unknown_flag(
@@ -542,7 +536,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             "--full" => cfg.fidelity = Fidelity::Full,
             "--no-cache" => {
                 cfg.store = ArtifactStore::at_default().no_disk();
-                cache::set_enabled(false);
             }
             "--once" => once = true,
             "--max-conns" => cfg.max_connections = flag_num(&mut it, "--max-conns")?.max(1),
@@ -843,7 +836,6 @@ fn cmd_bench_serve(args: &[String]) -> Result<(), String> {
             }
             "--no-cache" => {
                 serve_cfg.store = ArtifactStore::at_default().no_disk();
-                cache::set_enabled(false);
             }
             // Shared serve knobs, applied to the shards a --cluster run
             // boots; same names and parsing as `pra serve`.

@@ -2,11 +2,14 @@
 //! Stripes, which subsumes DaDianNao; finer synchronization and wider
 //! first stages never hurt; software trimming never hurts.
 
-use pragmatic::core::{Fidelity, PraConfig, SyncPolicy};
+use std::sync::Arc;
+
+use pragmatic::core::{Fidelity, PraConfig, SharedEncodedNetwork, SyncPolicy};
 use pragmatic::engines::{dadn, stripes};
 use pragmatic::fixed::PrecisionWindow;
 use pragmatic::sim::ChipConfig;
 use pragmatic::tensor::{ConvLayerSpec, Tensor3};
+use pragmatic::workloads::cache::ArtifactStore;
 use pragmatic::workloads::{LayerWorkload, Network, NetworkWorkload, Representation};
 
 /// An aligned (pallet-friendly) layer with calibrated VGG-S values.
@@ -95,20 +98,19 @@ fn trimming_never_hurts() {
 #[test]
 fn network_level_orderings_hold_on_alexnet() {
     let chip = ChipConfig::dadn();
-    let w = NetworkWorkload::build(Network::AlexNet, Representation::Fixed16, 0x600D);
+    let w = Arc::new(NetworkWorkload::build(Network::AlexNet, Representation::Fixed16, 0x600D));
     let fid = Fidelity::Sampled { max_pallets: 24 };
     let base = dadn::run(&chip, &w);
     let str_s = stripes::run(&chip, &w).speedup_over(&base);
-    let p2 = pragmatic::core::run(
-        &PraConfig::two_stage(2, Representation::Fixed16).with_fidelity(fid),
-        &w,
-    )
-    .speedup_over(&base);
-    let p2_1r = pragmatic::core::run(
-        &PraConfig::per_column(1, Representation::Fixed16).with_fidelity(fid),
-        &w,
-    )
-    .speedup_over(&base);
+    let configs = [
+        PraConfig::two_stage(2, Representation::Fixed16).with_fidelity(fid),
+        PraConfig::per_column(1, Representation::Fixed16).with_fidelity(fid),
+    ];
+    let store = ArtifactStore::at_default().no_disk();
+    let build = SharedEncodedNetwork::start_pipelined(&configs, &w, 0x600D, &store);
+    let p2 = pragmatic::core::run(&configs[0], &w, &build, |_, _| {}).speedup_over(&base);
+    let p2_1r = pragmatic::core::run(&configs[1], &w, &build, |_, _| {}).speedup_over(&base);
+    build.finish(&store);
     assert!(str_s > 1.0);
     assert!(p2 > str_s);
     assert!(p2_1r > p2);
